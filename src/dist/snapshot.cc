@@ -1,8 +1,9 @@
 // Prepared-snapshot save/load (gsmb/snapshot.h).
 //
-// Layout (native-endian; only the preparation's sources of truth are
-// stored — derived state is rebuilt on load through the same code path a
-// cold Engine::Prepare takes, so the file cannot drift from the build):
+// Layout (util/binary_io: little-endian on every host; only the
+// preparation's sources of truth are stored — derived state is rebuilt on
+// load through the same code path a cold Engine::Prepare takes, so the file
+// cannot drift from the build):
 //   magic       "GSMBPS01"
 //   header      cache_key, dataset_fingerprint, prepared_digest,
 //               prepare_seconds
@@ -22,15 +23,16 @@
 #include "gsmb/snapshot.h"
 
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gsmb/digest.h"
 #include "stream/streaming_dataset.h"
+#include "util/binary_io.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -38,98 +40,23 @@ namespace gsmb {
 
 namespace {
 
-void PutBytes(std::ostream& out, const void* data, size_t size) {
-  out.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
-}
-
-void PutU8(std::ostream& out, uint8_t v) { PutBytes(out, &v, sizeof v); }
-void PutU32(std::ostream& out, uint32_t v) { PutBytes(out, &v, sizeof v); }
-void PutU64(std::ostream& out, uint64_t v) { PutBytes(out, &v, sizeof v); }
-void PutF64(std::ostream& out, double v) { PutBytes(out, &v, sizeof v); }
-
-void PutString(std::ostream& out, const std::string& s) {
-  PutU64(out, s.size());
-  PutBytes(out, s.data(), s.size());
-}
-
-void PutCollection(std::ostream& out, const EntityCollection& collection) {
-  PutString(out, collection.name());
-  PutU64(out, collection.size());
+void WriteCollection(BinaryWriter& writer,
+                     const EntityCollection& collection) {
+  writer.String(collection.name());
+  writer.U64(collection.size());
   for (const EntityProfile& profile : collection.profiles()) {
-    PutString(out, profile.external_id());
-    PutU64(out, profile.attributes().size());
+    writer.String(profile.external_id());
+    writer.U64(profile.attributes().size());
     for (const Attribute& attribute : profile.attributes()) {
-      PutString(out, attribute.name);
-      PutString(out, attribute.value);
+      writer.String(attribute.name);
+      writer.String(attribute.value);
     }
   }
 }
 
-// Bounds-checked reader (same discipline as the serving snapshot): length
-// fields are validated against the remaining file size BEFORE any
-// container is sized from them, so a garbage count fails cleanly instead
-// of attempting a multi-gigabyte allocation.
-class SnapshotReader {
- public:
-  explicit SnapshotReader(std::istream& in) : in_(in) {
-    const std::istream::pos_type pos = in_.tellg();
-    in_.seekg(0, std::ios::end);
-    size_ = static_cast<uint64_t>(in_.tellg());
-    in_.seekg(pos);
-  }
-
-  uint64_t file_bytes() const { return size_; }
-
-  void Bytes(void* data, size_t size) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-    if (!in_) Corrupt();
-  }
-
-  uint8_t U8() { return Scalar<uint8_t>(); }
-  uint32_t U32() { return Scalar<uint32_t>(); }
-  uint64_t U64() { return Scalar<uint64_t>(); }
-  double F64() { return Scalar<double>(); }
-
-  /// Reads an element count whose elements occupy at least
-  /// `min_element_size` bytes each; rejects counts the file cannot hold.
-  uint64_t Count(uint64_t min_element_size) {
-    const uint64_t count = U64();
-    if (min_element_size == 0) min_element_size = 1;
-    if (count > Remaining() / min_element_size) Corrupt();
-    return count;
-  }
-
-  std::string String() {
-    const uint64_t size = Count(1);
-    std::string s(size, '\0');
-    if (size > 0) Bytes(s.data(), size);
-    return s;
-  }
-
- private:
-  template <typename T>
-  T Scalar() {
-    T v;
-    Bytes(&v, sizeof v);
-    return v;
-  }
-
-  uint64_t Remaining() const {
-    const auto pos = static_cast<uint64_t>(in_.tellg());
-    return pos > size_ ? 0 : size_ - pos;
-  }
-
-  [[noreturn]] static void Corrupt() {
-    throw std::runtime_error("truncated or corrupt file");
-  }
-
-  std::istream& in_;
-  uint64_t size_ = 0;
-};
-
 /// Checks the 8 magic bytes, distinguishing "not a snapshot at all" from
 /// "a snapshot of another format version".
-Status CheckMagic(SnapshotReader& reader, const std::string& path) {
+Status CheckMagic(BinaryReader& reader, const std::string& path) {
   char magic[8];
   reader.Bytes(magic, sizeof magic);
   const std::string_view got(magic, sizeof magic);
@@ -145,17 +72,17 @@ Status CheckMagic(SnapshotReader& reader, const std::string& path) {
 }
 
 /// Header fields after the magic, shared by Load and ReadInfo.
-PreparedSnapshotInfo ReadHeader(SnapshotReader& reader) {
+PreparedSnapshotInfo ReadHeader(BinaryReader& reader) {
   PreparedSnapshotInfo info;
   info.cache_key = reader.String();
   info.dataset_fingerprint = reader.U64();
   info.prepared_digest = reader.U64();
   info.prepare_seconds = reader.F64();
-  info.file_bytes = reader.file_bytes();
+  info.file_bytes = reader.size();
   return info;
 }
 
-EntityCollection ReadCollection(SnapshotReader& reader) {
+EntityCollection ReadCollection(BinaryReader& reader) {
   EntityCollection collection(reader.String());
   // A profile is at least one external-id length field + one attr count.
   const uint64_t count = reader.Count(16);
@@ -186,37 +113,38 @@ Status SavePreparedSnapshot(const PreparedInputs& prepared,
     return Status::NotFound("prepared snapshot: cannot open '" + path +
                             "' for writing");
   }
+  BinaryWriter writer(out);
 
-  PutBytes(out, kPreparedSnapshotMagic.data(), kPreparedSnapshotMagic.size());
-  PutString(out, prepared.cache_key);
-  PutU64(out, prepared.dataset_fingerprint);
-  PutU64(out, prepared.prepared_digest);
-  PutF64(out, prepared.prepare_seconds);
+  writer.Bytes(kPreparedSnapshotMagic.data(), kPreparedSnapshotMagic.size());
+  writer.String(prepared.cache_key);
+  writer.U64(prepared.dataset_fingerprint);
+  writer.U64(prepared.prepared_digest);
+  writer.F64(prepared.prepare_seconds);
 
-  PutU8(out, prepared.inputs.dirty ? 1 : 0);
-  PutCollection(out, prepared.inputs.e1);
-  PutCollection(out, prepared.inputs.e2);
+  writer.U8(prepared.inputs.dirty ? 1 : 0);
+  WriteCollection(writer, prepared.inputs.e1);
+  WriteCollection(writer, prepared.inputs.e2);
 
   const GroundTruth& gt = prepared.inputs.ground_truth;
-  PutU8(out, gt.dirty() ? 1 : 0);
-  PutU64(out, gt.size());
+  writer.U8(gt.dirty() ? 1 : 0);
+  writer.U64(gt.size());
   for (const MatchPair& pair : gt.pairs()) {
-    PutU32(out, pair.left);
-    PutU32(out, pair.right);
+    writer.U32(pair.left);
+    writer.U32(pair.right);
   }
 
   const BlockCollection& blocks = prepared.stream.blocks;
-  PutU8(out, blocks.clean_clean() ? 1 : 0);
-  PutString(out, prepared.stream.name);
-  PutU64(out, blocks.num_left_entities());
-  PutU64(out, blocks.num_right_entities());
-  PutU64(out, blocks.size());
+  writer.U8(blocks.clean_clean() ? 1 : 0);
+  writer.String(prepared.stream.name);
+  writer.U64(blocks.num_left_entities());
+  writer.U64(blocks.num_right_entities());
+  writer.U64(blocks.size());
   for (const Block& block : blocks.blocks()) {
-    PutString(out, block.key);
-    PutU64(out, block.left.size());
-    for (EntityId id : block.left) PutU32(out, id);
-    PutU64(out, block.right.size());
-    for (EntityId id : block.right) PutU32(out, id);
+    writer.String(block.key);
+    writer.U64(block.left.size());
+    for (EntityId id : block.left) writer.U32(id);
+    writer.U64(block.right.size());
+    for (EntityId id : block.right) writer.U32(id);
   }
 
   out.flush();
@@ -237,7 +165,7 @@ Result<PreparedSnapshotInfo> ReadPreparedSnapshotInfo(const std::string& path) {
     return Status::NotFound("prepared snapshot: cannot open '" + path + "'");
   }
   try {
-    SnapshotReader reader(in);
+    BinaryReader reader(in, "file");
     Status magic = CheckMagic(reader, path);
     if (!magic.ok()) return magic;
     return ReadHeader(reader);
@@ -263,7 +191,7 @@ Result<PreparedHandle> LoadPreparedSnapshot(const std::string& path,
   PreparedSnapshotInfo info;
   auto prepared = std::make_shared<PreparedInputs>();
   try {
-    SnapshotReader reader(in);
+    BinaryReader reader(in, "file");
     Status magic = CheckMagic(reader, path);
     if (!magic.ok()) return magic;
     info = ReadHeader(reader);

@@ -4,44 +4,17 @@
 
 #include <cerrno>
 #include <cstring>
+#include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "api/spec_json.h"
 #include "gsmb/telemetry.h"
+#include "util/binary_io.h"
 
 namespace gsmb::dist {
 
 namespace {
-
-// -- Little-endian scalar helpers (platform-stable framing) -----------------
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t ReadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-uint64_t ReadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
 
 bool ValidFrameType(uint8_t type) {
   return type >= static_cast<uint8_t>(FrameType::kHello) &&
@@ -180,10 +153,10 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload) {
                                    std::to_string(payload.size()) +
                                    " bytes exceeds the frame limit");
   }
-  std::string frame;
+  std::string frame(5, '\0');
   frame.reserve(5 + payload.size());
-  AppendU32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.push_back(static_cast<char>(type));
+  StoreLittleEndian(static_cast<uint32_t>(payload.size()), frame.data());
+  frame[4] = static_cast<char>(type);
   frame.append(payload);
 
   size_t written = 0;
@@ -202,7 +175,7 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload) {
 
 Result<bool> ExtractFrame(std::string* buffer, Frame* out) {
   if (buffer->size() < 5) return false;
-  const uint64_t length = ReadU32(buffer->data());
+  const uint64_t length = LoadLittleEndian<uint32_t>(buffer->data());
   const uint8_t type = static_cast<uint8_t>((*buffer)[4]);
   if (length > kMaxFramePayload) {
     return Status::InvalidArgument("wire: frame length " +
@@ -432,55 +405,36 @@ Result<ResultMessage> DecodeResult(const std::string& payload) {
 // ---------------------------------------------------------------------------
 
 std::string EncodeRetained(const RetainedMessage& message) {
-  std::string payload;
-  size_t bytes = 16;
+  std::ostringstream out;
+  BinaryWriter writer(out);
+  writer.U64(message.variant);
+  writer.U64(message.pairs.size());
   for (const RetainedPair& pair : message.pairs) {
-    bytes += 8 + pair.left.size() + pair.right.size();
+    for (const std::string* side : {&pair.left, &pair.right}) {
+      writer.U32(static_cast<uint32_t>(side->size()));
+      writer.Bytes(side->data(), side->size());
+    }
   }
-  payload.reserve(bytes);
-  AppendU64(&payload, message.variant);
-  AppendU64(&payload, message.pairs.size());
-  for (const RetainedPair& pair : message.pairs) {
-    AppendU32(&payload, static_cast<uint32_t>(pair.left.size()));
-    payload.append(pair.left);
-    AppendU32(&payload, static_cast<uint32_t>(pair.right.size()));
-    payload.append(pair.right);
-  }
-  return payload;
+  return std::move(out).str();
 }
 
 Result<RetainedMessage> DecodeRetained(const std::string& payload) {
+  std::istringstream in(payload);
+  BinaryReader reader(in, "retained frame");
   RetainedMessage message;
-  size_t pos = 0;
-  auto need = [&](size_t n) { return payload.size() - pos >= n; };
-  if (!need(16)) {
-    return Status::InvalidArgument("retained frame: truncated header");
-  }
-  message.variant = ReadU64(payload.data() + pos);
-  pos += 8;
-  const uint64_t count = ReadU64(payload.data() + pos);
-  pos += 8;
-  // Each pair occupies at least the two length fields.
-  if (count > (payload.size() - pos) / 8) {
-    return Status::InvalidArgument("retained frame: pair count exceeds "
-                                   "payload size");
-  }
-  message.pairs.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    RetainedPair pair;
-    for (std::string* side : {&pair.left, &pair.right}) {
-      if (!need(4)) {
-        return Status::InvalidArgument("retained frame: truncated pair");
-      }
-      const uint32_t length = ReadU32(payload.data() + pos);
-      pos += 4;
-      if (!need(length)) {
-        return Status::InvalidArgument("retained frame: truncated pair");
-      }
-      side->assign(payload, pos, length);
-      pos += length;
+  try {
+    message.variant = reader.U64();
+    // Each pair occupies at least its two u32 length fields.
+    const uint64_t count = reader.Count(8);
+    message.pairs.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      RetainedPair pair;
+      pair.left = reader.Chars(reader.U32());
+      pair.right = reader.Chars(reader.U32());
+      message.pairs.push_back(std::move(pair));
     }
-    message.pairs.push_back(std::move(pair));
+  } catch (const std::runtime_error& e) {
+    return Status::InvalidArgument(e.what());
   }
   return message;
 }

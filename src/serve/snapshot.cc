@@ -1,7 +1,7 @@
 // Binary snapshot save/load for MetaBlockingSession.
 //
-// Layout (native-endian, doubles bit-exact so a restored session scores and
-// prunes identically):
+// Layout (util/binary_io: little-endian on every host, doubles bit-exact so
+// a restored session scores and prunes identically):
 //   magic "GSMBSN02"
 //   options   num_shards, num_threads, min_token_length, max_block_size,
 //             pruning kind, blast_ratio, validity_threshold,
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "serve/session.h"
+#include "util/binary_io.h"
 
 namespace gsmb {
 
@@ -33,80 +34,9 @@ namespace {
 
 constexpr char kMagic[8] = {'G', 'S', 'M', 'B', 'S', 'N', '0', '2'};
 
-void PutBytes(std::ostream& out, const void* data, size_t size) {
-  out.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
-}
-
-void PutU8(std::ostream& out, uint8_t v) { PutBytes(out, &v, sizeof v); }
-void PutU32(std::ostream& out, uint32_t v) { PutBytes(out, &v, sizeof v); }
-void PutU64(std::ostream& out, uint64_t v) { PutBytes(out, &v, sizeof v); }
-void PutF64(std::ostream& out, double v) { PutBytes(out, &v, sizeof v); }
-
-void PutString(std::ostream& out, const std::string& s) {
-  PutU64(out, s.size());
-  PutBytes(out, s.data(), s.size());
-}
-
-// Bounds-checked reader: every length field read from disk is validated
-// against the bytes actually remaining in the file *before* any container
-// is sized from it, so a corrupt or truncated snapshot fails with the
-// clean "truncated or corrupt" error instead of a multi-gigabyte
-// allocation (or bad_alloc) from a garbage count.
-class SnapshotReader {
- public:
-  explicit SnapshotReader(std::istream& in) : in_(in) {
-    const std::istream::pos_type pos = in_.tellg();
-    in_.seekg(0, std::ios::end);
-    size_ = static_cast<uint64_t>(in_.tellg());
-    in_.seekg(pos);
-  }
-
-  void Bytes(void* data, size_t size) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-    if (!in_) Corrupt();
-  }
-
-  uint8_t U8() { return Scalar<uint8_t>(); }
-  uint32_t U32() { return Scalar<uint32_t>(); }
-  uint64_t U64() { return Scalar<uint64_t>(); }
-  double F64() { return Scalar<double>(); }
-
-  /// Reads an element count whose elements occupy at least
-  /// `min_element_size` bytes each; rejects counts the file cannot hold.
-  uint64_t Count(uint64_t min_element_size) {
-    const uint64_t count = U64();
-    if (min_element_size == 0) min_element_size = 1;
-    if (count > Remaining() / min_element_size) Corrupt();
-    return count;
-  }
-
-  std::string String() {
-    const uint64_t size = Count(1);
-    std::string s(size, '\0');
-    if (size > 0) Bytes(s.data(), size);
-    return s;
-  }
-
- private:
-  template <typename T>
-  T Scalar() {
-    T v;
-    Bytes(&v, sizeof v);
-    return v;
-  }
-
-  uint64_t Remaining() const {
-    const auto pos = static_cast<uint64_t>(in_.tellg());
-    return pos > size_ ? 0 : size_ - pos;
-  }
-
-  [[noreturn]] static void Corrupt() {
-    throw std::runtime_error("session snapshot: truncated or corrupt file");
-  }
-
-  std::istream& in_;
-  uint64_t size_ = 0;
-};
+// A shard record is at least its dirty flag plus five 8-byte fields (block
+// count, comparisons, candidates, retained count, aggregate count).
+constexpr uint64_t kMinShardRecordBytes = 1 + 5 * 8;
 
 }  // namespace
 
@@ -119,44 +49,45 @@ void MetaBlockingSession::Save(const std::string& path) const {
     throw std::runtime_error("session snapshot: cannot open " + path +
                              " for writing");
   }
+  BinaryWriter writer(out);
 
-  PutBytes(out, kMagic, sizeof kMagic);
-  PutU64(out, options_.num_shards);
-  PutU64(out, options_.execution.num_threads);
-  PutU64(out, options_.min_token_length);
-  PutU64(out, options_.max_block_size);
-  PutU8(out, static_cast<uint8_t>(options_.pruning));
-  PutF64(out, options_.blast_ratio);
-  PutF64(out, options_.validity_threshold);
-  PutU64(out, options_.cnp_entity_universe);
+  writer.Bytes(kMagic, sizeof kMagic);
+  writer.U64(options_.num_shards);
+  writer.U64(options_.execution.num_threads);
+  writer.U64(options_.min_token_length);
+  writer.U64(options_.max_block_size);
+  writer.U8(static_cast<uint8_t>(options_.pruning));
+  writer.F64(options_.blast_ratio);
+  writer.F64(options_.validity_threshold);
+  writer.U64(options_.cnp_entity_universe);
 
-  PutU8(out, model_.features.mask());
-  PutU64(out, model_.weights.size());
-  for (double w : model_.weights) PutF64(out, w);
-  PutF64(out, model_.intercept);
+  writer.U8(model_.features.mask());
+  writer.U64(model_.weights.size());
+  for (double w : model_.weights) writer.F64(w);
+  writer.F64(model_.intercept);
 
-  PutU64(out, profiles_.size());
+  writer.U64(profiles_.size());
   for (const EntityProfile& p : profiles_.profiles()) {
-    PutString(out, p.external_id());
-    PutU64(out, p.attributes().size());
+    writer.String(p.external_id());
+    writer.U64(p.attributes().size());
     for (const Attribute& a : p.attributes()) {
-      PutString(out, a.name);
-      PutString(out, a.value);
+      writer.String(a.name);
+      writer.String(a.value);
     }
   }
 
-  PutU64(out, shards_.size());
+  writer.U64(shards_.size());
   for (const Shard& shard : shards_) {
-    PutU8(out, shard.dirty ? 1 : 0);
-    PutU64(out, shard.num_blocks);
-    PutF64(out, shard.total_comparisons);
-    PutU64(out, shard.num_candidates);
-    PutU64(out, shard.retained.size());
+    writer.U8(shard.dirty ? 1 : 0);
+    writer.U64(shard.num_blocks);
+    writer.F64(shard.total_comparisons);
+    writer.U64(shard.num_candidates);
+    writer.U64(shard.retained.size());
     for (const CandidatePair& p : shard.retained) {
-      PutU32(out, p.left);
-      PutU32(out, p.right);
+      writer.U32(p.left);
+      writer.U32(p.right);
     }
-    PutU64(out, shard.aggregates.size());
+    writer.U64(shard.aggregates.size());
     // In ascending id order, NOT hash-table order: two sessions with the
     // same logical state must serialise to the same bytes, and unordered
     // iteration order depends on insertion history and hash seed.
@@ -166,12 +97,12 @@ void MetaBlockingSession::Save(const std::string& path) const {
     std::sort(ids.begin(), ids.end());
     for (const EntityId id : ids) {
       const EntityAggregates& agg = shard.aggregates.at(id);
-      PutU32(out, id);
-      PutU32(out, agg.num_blocks);
-      PutF64(out, agg.comparisons);
-      PutF64(out, agg.inv_comparisons);
-      PutF64(out, agg.inv_sizes);
-      PutF64(out, agg.lcp);
+      writer.U32(id);
+      writer.U32(agg.num_blocks);
+      writer.F64(agg.comparisons);
+      writer.F64(agg.inv_comparisons);
+      writer.F64(agg.inv_sizes);
+      writer.F64(agg.lcp);
     }
   }
 
@@ -187,7 +118,7 @@ MetaBlockingSession MetaBlockingSession::Load(const std::string& path) {
   if (!in) {
     throw std::runtime_error("session snapshot: cannot open " + path);
   }
-  SnapshotReader reader(in);
+  BinaryReader reader(in, "session snapshot");
 
   char magic[sizeof kMagic];
   reader.Bytes(magic, sizeof magic);
@@ -197,7 +128,9 @@ MetaBlockingSession MetaBlockingSession::Load(const std::string& path) {
   }
 
   SessionOptions options;
-  options.num_shards = reader.U64();
+  // Bounded by the shard records the file can hold: the constructor sizes
+  // the shard vector from this field before anything else checks it.
+  options.num_shards = reader.Count(kMinShardRecordBytes);
   options.execution.num_threads = reader.U64();
   options.min_token_length = reader.U64();
   options.max_block_size = reader.U64();

@@ -2,8 +2,10 @@
 // queries) and evolve (further AddProfiles/Refresh) exactly like the
 // original.
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,6 +54,57 @@ SessionOptions TestOptions() {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+const std::string kGoldenPath =
+    std::string(GSMB_FIXTURE_DIR) + "/golden_session.snap";
+
+// A small session from hand-written profiles and a hand-set model (no
+// generator, no training), so every build saves the same bytes. Its
+// snapshot is checked in at kGoldenPath: a change to the snapshot layout,
+// or to util/binary_io underneath it, shows up as a mismatch there.
+MetaBlockingSession GoldenSession() {
+  static const char* const kWords[] = {"acme", "laptop", "pro",  "14",
+                                       "silver", "ultra", "max", "mini",
+                                       "pack", "blue",   "red"};
+  constexpr int kNumWords = 11;
+  ServingModel model;
+  model.features = FeatureSet::BlastOptimal();
+  model.weights.assign(model.features.Dimensions(), 0.75);
+  model.intercept = -1.5;
+  SessionOptions options;
+  options.num_shards = 3;
+  options.execution.num_threads = 1;
+  MetaBlockingSession session(options, model);
+
+  std::vector<EntityProfile> profiles;
+  for (int i = 0; i < 24; ++i) {
+    // Profiles 2k and 2k+1 describe the same item.
+    const int k = i / 2;
+    EntityProfile profile("g" + std::to_string(i));
+    profile.AddAttribute("title",
+                         std::string(kWords[k % kNumWords]) + " " +
+                             kWords[(3 * k + 1) % kNumWords] + " " +
+                             kWords[(7 * k + 2) % kNumWords]);
+    profile.AddAttribute("code", "c" + std::to_string(k));
+    profiles.push_back(std::move(profile));
+  }
+  session.AddProfiles({profiles.begin(), profiles.begin() + 20});
+  session.Refresh();
+  // Ingested but not refreshed: the snapshot carries dirty marks too.
+  session.AddProfiles({profiles.begin() + 20, profiles.end()});
+  return session;
 }
 
 void ExpectSameQueries(const MetaBlockingSession& a,
@@ -146,6 +199,54 @@ TEST(ServeSnapshot, RejectsForeignAndTruncatedFiles) {
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size() / 2));
   }
+  EXPECT_THROW(MetaBlockingSession::Load(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(ServeSnapshot, GoldenSnapshotSavesByteForByte) {
+  const std::string golden = ReadBytes(kGoldenPath);
+  ASSERT_FALSE(golden.empty()) << "missing fixture " << kGoldenPath;
+
+  const MetaBlockingSession session = GoldenSession();
+  ASSERT_FALSE(session.RetainedPairs().empty());
+  ASSERT_GT(session.DirtyShardCount(), 0u);
+  const std::string path = TempPath("golden_session.snap");
+  session.Save(path);
+  if (ReadBytes(path) == golden) {
+    std::remove(path.c_str());
+  } else {
+    ADD_FAILURE() << "Save no longer reproduces " << kGoldenPath
+                  << " (snapshot format break); fresh bytes kept at "
+                  << path;
+  }
+}
+
+TEST(ServeSnapshot, GoldenSnapshotLoadsAndResaves) {
+  MetaBlockingSession loaded = MetaBlockingSession::Load(kGoldenPath);
+  const MetaBlockingSession expected = GoldenSession();
+  EXPECT_EQ(loaded.profiles().size(), expected.profiles().size());
+  EXPECT_EQ(loaded.DirtyShardCount(), expected.DirtyShardCount());
+  EXPECT_EQ(loaded.RetainedPairs(), expected.RetainedPairs());
+
+  const std::string path = TempPath("golden_resaved.snap");
+  loaded.Save(path);
+  EXPECT_EQ(ReadBytes(path), ReadBytes(kGoldenPath));
+  std::remove(path.c_str());
+}
+
+TEST(ServeSnapshot, RejectsInflatedShardCountBeforeAllocating) {
+  const std::string path = TempPath("inflated_shards.snap");
+  GoldenSession().Save(path);
+  std::string bytes = ReadBytes(path);
+  // num_shards is the u64 right after the 8-byte magic. The session
+  // constructor sizes its shard vector from it, so the count must be
+  // rejected as corrupt before that, not surface as bad_alloc.
+  const uint64_t inflated = uint64_t{1} << 40;
+  ASSERT_GT(bytes.size(), 16u);
+  for (int i = 0; i < 8; ++i) {
+    bytes[8 + i] = static_cast<char>((inflated >> (8 * i)) & 0xff);
+  }
+  WriteBytes(path, bytes);
   EXPECT_THROW(MetaBlockingSession::Load(path), std::runtime_error);
   std::remove(path.c_str());
 }

@@ -3,8 +3,8 @@
 // Before the facade each mode of the CLI carried its own copies of the
 // enum-parsing helpers and its own exit-on-error convention. Everything
 // here returns gsmb::Status/Result instead of exiting, names the offending
-// flag in every message, and is shared by `run`, `explain`, `serve` and the
-// legacy no-subcommand path — one parser, one diagnostic style.
+// flag in every message, and is shared by every subcommand — one parser,
+// one diagnostic style.
 
 #ifndef GSMB_TOOLS_CLI_PARSE_H_
 #define GSMB_TOOLS_CLI_PARSE_H_

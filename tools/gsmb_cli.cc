@@ -36,9 +36,8 @@
 //       or restores a snapshot, then drives it with commands from stdin
 //       (see serve/session.h).
 //
-//   gsmb [flags]           (legacy, == `run`)
-//       The PR 1-3 surface: --e1/--e2/--gt/--streaming/... unchanged,
-//       including its contradiction checks.
+//   Every invocation names its subcommand: bare flags (`gsmb --e1 ...`)
+//   are rejected with a pointer to `gsmb run`.
 //
 // Shared pipeline flags (all subcommands): --pruning bcl|wep|wnp|rwnp|
 // blast|cep|cnp|rcnp, --classifier logreg|svc|nb, --features blast|rcnp|
@@ -98,7 +97,7 @@ using namespace gsmb;
 void PrintUsage(std::FILE* stream) {
   std::fprintf(
       stream,
-      "usage: gsmb [run] [--config job.json]\n"
+      "usage: gsmb run [--config job.json]\n"
       "            --e1 a.csv [--e2 b.csv] --gt matches.csv\n"
       "            | --dataset NAME [--scale S]\n"
       "            [--scheme token|qgram|suffix|sorted-neighborhood|\n"
@@ -152,7 +151,7 @@ int UsageError(const std::string& message) {
 // run / explain flag parsing
 // ---------------------------------------------------------------------------
 
-/// Flags that need post-parse contradiction checks (the legacy rules).
+/// Flags that need post-parse contradiction checks.
 struct RunFlagState {
   bool shards_given = false;
   bool budget_given = false;
@@ -261,7 +260,7 @@ Status ParseRunFlags(cli::ArgStream& args, JobSpec* spec,
     }
   }
 
-  // The legacy contradiction rules, now mode-aware: shard/budget flags
+  // Contradiction rules, mode-aware: shard/budget flags
   // shape streaming (or auto-resolved) execution only.
   if (state->shards_given && spec->execution.shards == 0 &&
       spec->execution.mode != ExecutionMode::kServing) {
@@ -1459,34 +1458,23 @@ int ServeMain(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-    return ServeMain(argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "explain") == 0) {
-    return ExplainMain(argc, argv, 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "sweep") == 0) {
-    return SweepMain(argc, argv, 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "prepare") == 0) {
-    return PrepareMain(argc, argv, 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "worker") == 0) {
-    return WorkerMain(argc, argv, 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "report") == 0) {
-    return ReportMain(argc, argv, 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "migrate") == 0) {
-    return MigrateMain(argc, argv, 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "run") == 0) {
-    return RunMain(argc, argv, 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--help") == 0) {
+  const std::string command = argc > 1 ? argv[1] : "";
+  if (command == "run") return RunMain(argc, argv, 2);
+  if (command == "explain") return ExplainMain(argc, argv, 2);
+  if (command == "sweep") return SweepMain(argc, argv, 2);
+  if (command == "prepare") return PrepareMain(argc, argv, 2);
+  if (command == "worker") return WorkerMain(argc, argv, 2);
+  if (command == "report") return ReportMain(argc, argv, 2);
+  if (command == "migrate") return MigrateMain(argc, argv, 2);
+  if (command == "serve") return ServeMain(argc, argv);
+  if (command == "--help") {
     PrintUsage(stdout);
     return 0;
   }
-  // Legacy surface: bare flags behave exactly like `run`.
-  return RunMain(argc, argv, 1);
+  if (command.empty()) return UsageError("missing command");
+  if (command[0] == '-') {
+    return UsageError("bare flags need a command: to run a job, use "
+                      "`gsmb_cli run " + command + " ...`");
+  }
+  return UsageError("unknown command '" + command + "'");
 }
