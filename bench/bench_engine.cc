@@ -211,8 +211,8 @@ int main(int argc, char** argv) {
         cold_ms, cached_ms,
         static_cast<size_t>((*cold)->num_candidates()),
         static_cast<double>(stats.bytes) / (1024.0 * 1024.0));
-    bench_rows.push_back({"engine/prepare_cold", cold_ms});
-    bench_rows.push_back({"engine/prepare_cached", cached_ms});
+    bench_rows.push_back({"engine/prepare_cold", cold_ms, ""});
+    bench_rows.push_back({"engine/prepare_cached", cached_ms, ""});
   }
 
   // The facade's own overhead: a spec JSON round trip plus validation per

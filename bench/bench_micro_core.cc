@@ -173,22 +173,34 @@ void BM_FeaturesParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_FeaturesParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
+/// A logistic regression fitted on ~50 BlastOptimal rows of Prepared().
+const LogisticRegression& BlastModel() {
+  static const LogisticRegression* model = [] {
+    const PreparedDataset& prep = Prepared();
+    Matrix features = FeatureExtractor(*prep.index, prep.pairs)
+                          .Compute(FeatureSet::BlastOptimal());
+    Rng rng(2);
+    std::vector<size_t> rows;
+    std::vector<int> labels;
+    for (size_t i = 0; i < prep.pairs.size() && labels.size() < 50; ++i) {
+      if (prep.is_positive[i] || rng.NextBool(0.001)) {
+        rows.push_back(i);
+        labels.push_back(prep.is_positive[i]);
+      }
+    }
+    auto* fitted = new LogisticRegression();
+    fitted->Fit(features.SelectRows(rows), labels);
+    return fitted;
+  }();
+  return *model;
+}
+
 void BM_ClassifierInferenceParallel(benchmark::State& state) {
   const auto threads = static_cast<size_t>(state.range(0));
   const PreparedDataset& prep = Prepared();
   FeatureExtractor extractor(*prep.index, prep.pairs);
   Matrix features = extractor.Compute(FeatureSet::BlastOptimal());
-  Rng rng(2);
-  std::vector<size_t> rows;
-  std::vector<int> labels;
-  for (size_t i = 0; i < prep.pairs.size() && labels.size() < 50; ++i) {
-    if (prep.is_positive[i] || rng.NextBool(0.001)) {
-      rows.push_back(i);
-      labels.push_back(prep.is_positive[i]);
-    }
-  }
-  LogisticRegression model;
-  model.Fit(features.SelectRows(rows), labels);
+  const LogisticRegression& model = BlastModel();
   for (auto _ : state) {
     std::vector<double> probs = model.PredictBatch(features, threads);
     benchmark::DoNotOptimize(probs.data());
@@ -197,6 +209,24 @@ void BM_ClassifierInferenceParallel(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * prep.pairs.size()));
 }
 BENCHMARK(BM_ClassifierInferenceParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// The batch executor's fused sweep: features and classification of every
+// candidate in one pass, no feature matrix. Compare against
+// BM_FeaturesParallel + BM_ClassifierInferenceParallel at the same Arg.
+void BM_ScoreParallel(benchmark::State& state) {
+  const auto threads = static_cast<size_t>(state.range(0));
+  const PreparedDataset& prep = Prepared();
+  FeatureExtractor extractor(*prep.index, prep.pairs);
+  const LogisticRegression& model = BlastModel();
+  for (auto _ : state) {
+    std::vector<double> probs =
+        extractor.Score(FeatureSet::BlastOptimal(), model, threads);
+    benchmark::DoNotOptimize(probs.data());
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+}
+BENCHMARK(BM_ScoreParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_PruningParallel(benchmark::State& state) {
   const PruningKind kind = static_cast<PruningKind>(state.range(0));

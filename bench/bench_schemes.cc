@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Fixed(prepare_ms, 1),
                   TablePrinter::Fixed(run_ms, 1),
                   std::to_string(result->metrics.retained)});
-    bench_rows.push_back({"schemes/" + scheme + "/prepare", prepare_ms});
+    bench_rows.push_back({"schemes/" + scheme + "/prepare", prepare_ms, ""});
     bench_rows.push_back({"schemes/" + scheme + "/run", run_ms,
                           obs::DigestHex(result->retained_digest)});
   }

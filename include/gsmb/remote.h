@@ -42,8 +42,10 @@
 namespace gsmb {
 
 /// Test-only fault injection: after `after_results` results from worker
-/// `kill_worker` (0-based), the coordinator SIGKILLs it right after
-/// dispatching its next variant — deterministic mid-sweep worker death.
+/// `kill_worker` (0-based), the coordinator SIGKILLs it and then dispatches
+/// its next variant, which is lost with it — deterministic mid-sweep worker
+/// death. Until then the other workers leave that variant for it, so one
+/// is always in flight when it dies.
 struct RemoteFaultInjection {
   int kill_worker = -1;  ///< worker index to kill; -1 disables
   uint64_t after_results = 1;

@@ -1,5 +1,6 @@
 #include "core/pipeline.h"
 
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -130,69 +131,38 @@ MetaBlockingResult RunMetaBlocking(const PreparedDataset& dataset,
   return RunMetaBlocking(RefOf(dataset), config);
 }
 
-MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
-                                   const MetaBlockingConfig& config) {
-  obs::PhaseTimings timings;
-  Matrix features = [&] {
-    obs::ScopedPhase phase(&timings, obs::Phase::kFeatures);
-    FeatureExtractor extractor(*prepared.index, *prepared.pairs);
-    return extractor.Compute(config.features, config.execution.num_threads);
-  }();
-  return RunMetaBlockingWithFeatures(prepared, config, features,
-                                     timings.Get(obs::Phase::kFeatures));
-}
+namespace {
 
-MetaBlockingResult RunMetaBlockingWithFeatures(
-    const PreparedDataset& dataset, const MetaBlockingConfig& config,
-    const Matrix& features, double feature_seconds_hint) {
-  return RunMetaBlockingWithFeatures(RefOf(dataset), config, features,
-                                     feature_seconds_hint);
-}
-
-MetaBlockingResult RunMetaBlockingWithFeatures(
+/// Training, shared by both entry points: the balanced sample, its feature
+/// rows in sample order from `rows_of`, and the fitted classifier.
+std::unique_ptr<ProbabilisticClassifier> Train(
     const PreparedRef& prepared, const MetaBlockingConfig& config,
-    const Matrix& features, double feature_seconds_hint) {
+    const std::function<Matrix(const TrainingSet&)>& rows_of,
+    MetaBlockingResult* result) {
+  obs::ScopedPhase phase(&result->phases, obs::Phase::kTrain);
+  Rng rng(config.seed);
+  TrainingSet training =
+      SampleBalanced(*prepared.is_positive, config.train_per_class, &rng);
+  if (training.size() < 2) {
+    throw std::runtime_error(
+        "RunMetaBlocking: not enough labelled pairs to train (dataset '" +
+        *prepared.name + "')");
+  }
+  std::unique_ptr<ProbabilisticClassifier> model =
+      MakeClassifier(config.classifier, config.seed);
+  model->Fit(rows_of(training), training.labels);
+  result->training_size = training.size();
+  result->model_coefficients = model->CoefficientsWithIntercept();
+  return model;
+}
+
+/// The shared tail: prune the scored candidates, evaluate, and fill the
+/// result's timings and optional outputs.
+MetaBlockingResult PruneAndEvaluate(const PreparedRef& prepared,
+                                    const MetaBlockingConfig& config,
+                                    std::vector<double> probabilities,
+                                    MetaBlockingResult result) {
   const std::vector<CandidatePair>& pairs = *prepared.pairs;
-  const std::vector<uint8_t>& is_positive = *prepared.is_positive;
-  if (features.rows() != pairs.size()) {
-    throw std::invalid_argument(
-        "RunMetaBlockingWithFeatures: feature rows != candidate pairs");
-  }
-  if (features.cols() != config.features.Dimensions()) {
-    throw std::invalid_argument(
-        "RunMetaBlockingWithFeatures: feature cols != feature-set dims");
-  }
-
-  MetaBlockingResult result;
-  result.phases.Add(obs::Phase::kFeatures, feature_seconds_hint);
-
-  // ---- Training: balanced undersample + fit. ----
-  std::unique_ptr<ProbabilisticClassifier> model;
-  {
-    obs::ScopedPhase phase(&result.phases, obs::Phase::kTrain);
-    Rng rng(config.seed);
-    TrainingSet training =
-        SampleBalanced(is_positive, config.train_per_class, &rng);
-    if (training.size() < 2) {
-      throw std::runtime_error(
-          "RunMetaBlocking: not enough labelled pairs to train (dataset '" +
-          *prepared.name + "')");
-    }
-    Matrix train_x = features.SelectRows(training.row_indices);
-    model = MakeClassifier(config.classifier, config.seed);
-    model->Fit(train_x, training.labels);
-    result.training_size = training.size();
-  }
-  result.model_coefficients = model->CoefficientsWithIntercept();
-
-  // ---- Weighting: classification probability per candidate pair. ----
-  std::vector<double> probabilities;
-  {
-    obs::ScopedPhase phase(&result.phases, obs::Phase::kClassify);
-    probabilities = model->PredictBatch(features, config.execution.num_threads);
-  }
-
-  // ---- Pruning. ----
   std::vector<uint32_t> retained;
   {
     obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
@@ -213,11 +183,88 @@ MetaBlockingResult RunMetaBlockingWithFeatures(
                          result.classify_seconds + result.prune_seconds;
   obs::CounterAdd("pairs.generated", pairs.size());
   obs::CounterAdd("pairs.retained", retained.size());
-  result.metrics =
-      EvaluateRetained(retained, is_positive, prepared.num_ground_truth);
+  result.metrics = EvaluateRetained(retained, *prepared.is_positive,
+                                    prepared.num_ground_truth);
   if (config.keep_probabilities) result.probabilities = std::move(probabilities);
   if (config.keep_retained) result.retained_indices = std::move(retained);
   return result;
+}
+
+}  // namespace
+
+MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
+                                   const MetaBlockingConfig& config) {
+  const size_t threads = config.execution.num_threads;
+  const std::vector<CandidatePair>& pairs = *prepared.pairs;
+  const FeatureExtractor extractor(*prepared.index, pairs);
+  MetaBlockingResult result;
+
+  // LCP once, shared by the training rows and the scoring sweep.
+  std::vector<double> lcp;
+  const std::vector<double>* lcp_ptr = nullptr;
+  if (config.features.Contains(Feature::kLcp)) {
+    obs::ScopedPhase phase(&result.phases, obs::Phase::kFeatures);
+    lcp = extractor.ComputeLcpPerEntity(threads);
+    lcp_ptr = &lcp;
+  }
+
+  // Train on feature rows of the sampled pairs only.
+  const std::unique_ptr<ProbabilisticClassifier> model = Train(
+      prepared, config,
+      [&](const TrainingSet& training) {
+        return SampledFeatureRows(
+            *prepared.index, config.features, training.row_indices,
+            [&](size_t row) { return pairs[row]; }, threads, lcp_ptr);
+      },
+      &result);
+
+  // The fused sweep: every candidate's feature row is scored while it is
+  // still in cache, so no |C|×d matrix exists. Timed as features; classify
+  // stays 0 on this path.
+  std::vector<double> probabilities;
+  {
+    obs::ScopedPhase phase(&result.phases, obs::Phase::kFeatures);
+    probabilities = extractor.Score(config.features, *model, threads, lcp_ptr);
+  }
+  return PruneAndEvaluate(prepared, config, std::move(probabilities),
+                          std::move(result));
+}
+
+MetaBlockingResult RunMetaBlockingWithFeatures(
+    const PreparedDataset& dataset, const MetaBlockingConfig& config,
+    const Matrix& features, double feature_seconds_hint) {
+  return RunMetaBlockingWithFeatures(RefOf(dataset), config, features,
+                                     feature_seconds_hint);
+}
+
+MetaBlockingResult RunMetaBlockingWithFeatures(
+    const PreparedRef& prepared, const MetaBlockingConfig& config,
+    const Matrix& features, double feature_seconds_hint) {
+  if (features.rows() != prepared.pairs->size()) {
+    throw std::invalid_argument(
+        "RunMetaBlockingWithFeatures: feature rows != candidate pairs");
+  }
+  if (features.cols() != config.features.Dimensions()) {
+    throw std::invalid_argument(
+        "RunMetaBlockingWithFeatures: feature cols != feature-set dims");
+  }
+
+  MetaBlockingResult result;
+  result.phases.Add(obs::Phase::kFeatures, feature_seconds_hint);
+  const std::unique_ptr<ProbabilisticClassifier> model = Train(
+      prepared, config,
+      [&](const TrainingSet& training) {
+        return features.SelectRows(training.row_indices);
+      },
+      &result);
+
+  std::vector<double> probabilities;
+  {
+    obs::ScopedPhase phase(&result.phases, obs::Phase::kClassify);
+    probabilities = model->PredictBatch(features, config.execution.num_threads);
+  }
+  return PruneAndEvaluate(prepared, config, std::move(probabilities),
+                          std::move(result));
 }
 
 }  // namespace gsmb

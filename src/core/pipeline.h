@@ -4,10 +4,11 @@
 // Section 5.1: Token Blocking -> Block Purging -> Block Filtering (0.8) ->
 // candidate-pair generation, and records the blocking-quality numbers of
 // Table 2. RunMetaBlocking() then executes one experiment configuration:
-// extract features, sample a balanced training set, train the probabilistic
-// classifier, weight all candidate pairs, prune, and evaluate — reporting
-// the paper's measures (recall, precision, F1) and the run-time breakdown
-// that makes up RT.
+// sample a balanced training set, extract the feature rows of the sampled
+// pairs only, train the probabilistic classifier, weight all candidate
+// pairs in one fused feature+classify sweep, prune, and evaluate —
+// reporting the paper's measures (recall, precision, F1) and the run-time
+// breakdown that makes up RT.
 
 #ifndef GSMB_CORE_PIPELINE_H_
 #define GSMB_CORE_PIPELINE_H_
@@ -179,7 +180,12 @@ struct PreparedRef {
 PreparedRef RefOf(const PreparedDataset& dataset);
 
 /// Runs one configuration end to end (features computed internally and
-/// included in the timing, as the paper's RT does).
+/// included in the timing, as the paper's RT does). No |C|×d feature matrix
+/// is built: the classifier trains on the sampled pairs' rows, then
+/// FeatureExtractor::Score weights every candidate in one sweep. That
+/// sweep is timed as `features`, so `classify_seconds` reads 0 here; the
+/// RT sum covers the same work. Results equal RunMetaBlockingWithFeatures
+/// over Compute(config.features) bit for bit.
 MetaBlockingResult RunMetaBlocking(const PreparedDataset& dataset,
                                    const MetaBlockingConfig& config);
 MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
@@ -188,7 +194,8 @@ MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
 /// Variant that reuses a precomputed feature matrix whose columns follow
 /// config.features.FullMatrixColumns(). `feature_seconds_hint` is recorded
 /// as the feature-generation time (pass the one-off measured cost, or 0 to
-/// exclude it). Used by the seed-averaging experiment harness.
+/// exclude it); classification is timed as `classify`. Used by the
+/// seed-averaging experiment harness.
 MetaBlockingResult RunMetaBlockingWithFeatures(
     const PreparedDataset& dataset, const MetaBlockingConfig& config,
     const Matrix& features, double feature_seconds_hint = 0.0);

@@ -51,6 +51,7 @@ struct WorkerProc {
   /// Variant index currently dispatched to this worker; -1 idle.
   long long in_flight = -1;
   uint64_t results = 0;
+  uint64_t jobs = 0;  // variants dispatched to it, retries included
   bool fault_fired = false;
   Stopwatch activity;
 };
@@ -217,11 +218,27 @@ Status RunJobsRemote(const std::vector<JobSpec>& specs,
     ++completed;
   };
 
+  // Undispatched variants the fault-injection target still has a claim
+  // on: enough to hand it its (after_results + 1)-th job, so the injected
+  // death always loses a variant in flight, however fast the other workers
+  // drain the queue. Zero for the target itself and once the fault fired.
+  auto fault_reserve = [&](const WorkerProc& worker) -> size_t {
+    const int target = options.fault.kill_worker;
+    if (target < 0 || static_cast<size_t>(target) >= workers.size()) return 0;
+    const WorkerProc& victim = workers[static_cast<size_t>(target)];
+    if (&worker == &victim || victim.dead || victim.fault_fired) return 0;
+    const uint64_t wanted = options.fault.after_results + 1;
+    return victim.jobs >= wanted ? 0
+                                 : static_cast<size_t>(wanted - victim.jobs);
+  };
+
   // Pull-model dispatch = work stealing: the next unclaimed variant goes
   // to whichever worker asks first. Requeued (retried) variants win over
   // fresh ones so a death is healed promptly.
   auto dispatch_next = [&](WorkerProc& worker) -> bool {
     if (!fatal.ok()) return true;
+    const size_t pending = requeued.size() + (specs.size() - next_fresh);
+    if (pending <= fault_reserve(worker)) return true;  // idle, or held back
     long long variant = -1;
     if (!requeued.empty()) {
       variant = static_cast<long long>(requeued.front());
@@ -232,6 +249,7 @@ Status RunJobsRemote(const std::vector<JobSpec>& specs,
     if (variant < 0) return true;  // nothing left; worker idles until
                                    // shutdown
     ++attempts[static_cast<size_t>(variant)];
+    ++worker.jobs;
     dist::JobMessage job;
     job.variant = static_cast<uint64_t>(variant);
     job.spec = specs[static_cast<size_t>(variant)];
@@ -272,6 +290,12 @@ Status RunJobsRemote(const std::vector<JobSpec>& specs,
             "remote: no worker became ready (worker command '" + command +
             "' failed to start or crashed during initialisation)");
       }
+    }
+    // Idle workers only ask for work when they report a result, so hand
+    // them the requeued variant (or the reserve a dead target released)
+    // now; otherwise a death while the rest sit idle would stall the sweep.
+    for (WorkerProc& w : workers) {
+      if (w.ready && !w.dead && w.in_flight < 0) (void)dispatch_next(w);
     }
   };
 
@@ -355,22 +379,30 @@ Status RunJobsRemote(const std::vector<JobSpec>& specs,
         const bool fire_fault =
             options.fault.kill_worker == static_cast<int>(index) &&
             !worker.fault_fired && worker.results >= options.fault.after_results;
-        const bool dispatched = dispatch_next(worker);
         if (fire_fault) {
-          // Deterministic mid-sweep death: the variant just dispatched
-          // above is lost with the worker.
+          // Deterministic mid-sweep death: SIGKILL before the next variant
+          // is written, so the worker can never run it however fast it is;
+          // that variant is lost with the worker and takes the retry path.
           worker.fault_fired = true;
           ::kill(worker.pid, SIGKILL);
         }
-        return dispatched;
+        return dispatch_next(worker);
       }
       default:
         return false;  // worker sent a coordinator-to-worker frame type
     }
   };
 
+  // Every live worker has said hello (and so proved its snapshot). A worker
+  // still starting when the last result lands is waited for: teardown
+  // would wait for it to exit anyway.
+  auto all_checked_in = [&] {
+    return std::all_of(workers.begin(), workers.end(),
+                       [](const WorkerProc& w) { return w.ready || w.dead; });
+  };
+
   // The event loop: poll all live worker pipes, drain frames, dispatch.
-  while (fatal.ok() && completed < specs.size()) {
+  while (fatal.ok() && (completed < specs.size() || !all_checked_in())) {
     std::vector<pollfd> fds;
     std::vector<size_t> fd_owner;
     for (size_t w = 0; w < workers.size(); ++w) {

@@ -25,10 +25,23 @@ struct TrainingSet {
 };
 
 /// Draws up to `per_class` positives and `per_class` negatives uniformly at
-/// random without replacement. `is_positive[i]` labels candidate i. When a
-/// class has fewer members than requested, all of them are taken (and the
-/// set is no longer perfectly balanced — mirroring what any practical
-/// labelling effort would do).
+/// random without replacement. `positive_indices` lists the positive
+/// candidates of [0, num_candidates) ascending; every other index is a
+/// negative. When a class has fewer members than requested, all of them are
+/// taken (and the set is no longer perfectly balanced — mirroring what any
+/// practical labelling effort would do).
+///
+/// Layout: the chosen positives ascending, then the chosen negatives
+/// ascending. The Rng draws a partial Fisher-Yates over the positive ranks,
+/// then one over the negative ranks (SampleWithoutReplacementSparse), so
+/// the cost is O(k + |positives|) time and O(k) extra memory, whatever the
+/// candidate count.
+TrainingSet SampleBalanced(const std::vector<uint64_t>& positive_indices,
+                           uint64_t num_candidates, size_t per_class,
+                           Rng* rng);
+
+/// The same sample from one label byte per candidate (`is_positive[i]`
+/// labels candidate i): collects the ascending positives and delegates.
 TrainingSet SampleBalanced(const std::vector<uint8_t>& is_positive,
                            size_t per_class, Rng* rng);
 

@@ -1,10 +1,10 @@
 // StreamingDataset: batch-preprocessing state for the bounded-memory
 // executor — everything PreparedDataset holds EXCEPT the O(|C|) arrays.
 //
-// The batch preparation (core/pipeline.h) materialises the candidate set,
-// its labels, and later the full feature matrix — all O(|C|). What the
-// streaming executor actually needs to regenerate any slice of the global
-// candidate order on demand is only:
+// The batch preparation (core/pipeline.h) materialises the candidate set
+// and its labels, and its execution the probability vector — all O(|C|).
+// What the streaming executor actually needs to regenerate any slice of
+// the global candidate order on demand is only:
 //
 //   pivot_offsets      prefix sums of the per-pivot candidate counts; the
 //                      pair at global index i belongs to the pivot p with

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/features.h"
 #include "core/pruning_aggregates.h"
@@ -19,54 +18,38 @@ namespace {
 // Mirrors the pivot chunking of blocking/candidate_pairs.cc.
 constexpr size_t kPivotChunkGrain = 1024;
 
-constexpr size_t kNoPivot = std::numeric_limits<size_t>::max();
-
-/// Replays SampleBalanced (ml/sampler.cc) without an is_positive byte per
-/// candidate: the positive pool is the explicit ascending index list, the
-/// negative pool is its complement in [0, num_candidates). The Rng draw
-/// sequence — positives first, then negatives, partial Fisher-Yates each —
-/// is identical, so the selected rows and their order are identical.
-TrainingSet SampleBalancedFromPlan(const std::vector<uint64_t>& positives,
-                                   uint64_t num_candidates, size_t per_class,
-                                   Rng* rng) {
-  const size_t num_pos = positives.size();
-  const auto num_neg = static_cast<size_t>(num_candidates) - num_pos;
-
-  std::vector<size_t> pos_ranks = rng->SampleWithoutReplacementSparse(
-      num_pos, std::min(per_class, num_pos));
-  std::vector<uint64_t> pos_chosen;
-  pos_chosen.reserve(pos_ranks.size());
-  for (size_t rank : pos_ranks) pos_chosen.push_back(positives[rank]);
-  std::sort(pos_chosen.begin(), pos_chosen.end());
-
-  std::vector<size_t> neg_ranks = rng->SampleWithoutReplacementSparse(
-      num_neg, std::min(per_class, num_neg));
-  // The k-th negative is the k-th candidate index that is not positive:
-  // idx = rank + (#positives <= idx), resolved by a merged sweep over the
-  // ascending ranks. Ascending ranks map to ascending indices, so the
-  // mapped list is already the sorted order the batch sampler produces.
-  std::sort(neg_ranks.begin(), neg_ranks.end());
-  std::vector<uint64_t> neg_chosen;
-  neg_chosen.reserve(neg_ranks.size());
-  size_t skipped = 0;
-  for (size_t rank : neg_ranks) {
-    while (skipped < num_pos && positives[skipped] <= rank + skipped) {
-      ++skipped;
-    }
-    neg_chosen.push_back(rank + skipped);
-  }
-
-  TrainingSet ts;
-  for (uint64_t i : pos_chosen) {
-    ts.row_indices.push_back(static_cast<size_t>(i));
-    ts.labels.push_back(1);
-  }
-  for (uint64_t i : neg_chosen) {
-    ts.row_indices.push_back(static_cast<size_t>(i));
-    ts.labels.push_back(0);
-  }
-  return ts;
+/// Pivot owning global candidate index `index`.
+size_t PivotOf(const std::vector<uint64_t>& pivot_offsets, uint64_t index) {
+  auto it = std::upper_bound(pivot_offsets.begin(), pivot_offsets.end(),
+                             index);
+  return static_cast<size_t>(it - pivot_offsets.begin()) - 1;
 }
+
+/// Resolves global candidate indices to their pairs without the
+/// materialised candidate set: each pivot's neighbour list is regenerated
+/// when the pivot changes, so ascending queries rebuild each pivot once.
+class PairRegenerator {
+ public:
+  PairRegenerator(const EntityIndex& index,
+                  const std::vector<uint64_t>& pivot_offsets)
+      : pivot_offsets_(pivot_offsets), generator_(index) {}
+
+  CandidatePair At(uint64_t index) {
+    const size_t pivot = PivotOf(pivot_offsets_, index);
+    if (pivot != current_pivot_) {
+      generator_.Generate(pivot, &neighbours_);
+      current_pivot_ = pivot;
+    }
+    return {static_cast<EntityId>(pivot),
+            neighbours_[index - pivot_offsets_[pivot]]};
+  }
+
+ private:
+  const std::vector<uint64_t>& pivot_offsets_;
+  PivotNeighbourGenerator generator_;
+  std::vector<EntityId> neighbours_;
+  size_t current_pivot_ = std::numeric_limits<size_t>::max();
+};
 
 }  // namespace
 
@@ -123,12 +106,6 @@ std::vector<StreamingExecutor::ShardSlice> StreamingExecutor::PlanShards(
   return slices;
 }
 
-size_t StreamingExecutor::PivotOf(uint64_t index) const {
-  const std::vector<uint64_t>& offsets = dataset_.pivot_offsets;
-  auto it = std::upper_bound(offsets.begin(), offsets.end(), index);
-  return static_cast<size_t>(it - offsets.begin()) - 1;
-}
-
 void StreamingExecutor::FillArena(const ShardSlice& shard,
                                   const MetaBlockingConfig& config,
                                   const ProbabilisticClassifier& model,
@@ -142,8 +119,8 @@ void StreamingExecutor::FillArena(const ShardSlice& shard,
   {
     obs::ScopedPhase phase(&timings->phases, obs::Phase::kPairs);
     arena->pairs.resize(shard.end_index - shard.first_index);
-    const size_t pivot_begin = PivotOf(shard.first_index);
-    const size_t pivot_end = PivotOf(shard.end_index - 1) + 1;
+    const size_t pivot_begin = PivotOf(offsets, shard.first_index);
+    const size_t pivot_end = PivotOf(offsets, shard.end_index - 1) + 1;
     const std::vector<ChunkRange> pivot_chunks =
         DeterministicChunks(pivot_end - pivot_begin, kPivotChunkGrain);
     ParallelFor(
@@ -224,58 +201,27 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
     lcp_ptr = &lcp;
   }
 
-  // ---- Training: replay of the batch sample, rows and fit. ----
+  // ---- Training: the batch path's sample, its rows and fit. ----
   std::unique_ptr<ProbabilisticClassifier> model;
   {
-  obs::ScopedPhase train_phase(&result.phases, obs::Phase::kTrain);
-  Rng rng(config.seed);
-  TrainingSet training = SampleBalancedFromPlan(
-      dataset_.positive_indices, n64, config.train_per_class, &rng);
-  if (training.size() < 2) {
-    throw std::runtime_error(
-        "StreamingExecutor: not enough labelled pairs to train (dataset '" +
-        dataset_.name + "')");
-  }
-
-  // Feature rows for the training pairs only: regenerate them grouped by
-  // pivot (FeatureExtractor's order invariant), then reorder the rows into
-  // the sampler's positives-then-negatives layout the batch path trains on.
-  std::vector<uint64_t> sorted_rows(training.row_indices.begin(),
-                                    training.row_indices.end());
-  std::sort(sorted_rows.begin(), sorted_rows.end());
-  std::vector<CandidatePair> training_pairs(sorted_rows.size());
-  {
-    PivotNeighbourGenerator generator(index);
-    std::vector<EntityId> neighbours;
-    size_t current_pivot = kNoPivot;
-    for (size_t r = 0; r < sorted_rows.size(); ++r) {
-      const size_t pivot = PivotOf(sorted_rows[r]);
-      if (pivot != current_pivot) {
-        generator.Generate(pivot, &neighbours);
-        current_pivot = pivot;
-      }
-      training_pairs[r] = {
-          static_cast<EntityId>(pivot),
-          neighbours[sorted_rows[r] - dataset_.pivot_offsets[pivot]]};
+    obs::ScopedPhase train_phase(&result.phases, obs::Phase::kTrain);
+    Rng rng(config.seed);
+    const TrainingSet training = SampleBalanced(
+        dataset_.positive_indices, n64, config.train_per_class, &rng);
+    if (training.size() < 2) {
+      throw std::runtime_error(
+          "StreamingExecutor: not enough labelled pairs to train (dataset '" +
+          dataset_.name + "')");
     }
-  }
-  FeatureExtractor training_extractor(index, training_pairs);
-  const Matrix sorted_features = training_extractor.Compute(
-      config.features, config.execution.num_threads, lcp_ptr);
-  std::unordered_map<uint64_t, size_t> row_of;
-  row_of.reserve(sorted_rows.size());
-  for (size_t r = 0; r < sorted_rows.size(); ++r) row_of[sorted_rows[r]] = r;
-  Matrix train_x(training.size(), sorted_features.cols());
-  for (size_t t = 0; t < training.row_indices.size(); ++t) {
-    const double* src =
-        sorted_features.Row(row_of.at(training.row_indices[t]));
-    std::copy(src, src + sorted_features.cols(), train_x.Row(t));
-  }
-
-  model = MakeClassifier(config.classifier, config.seed);
-  model->Fit(train_x, training.labels);
-  result.training_size = training.size();
-  result.model_coefficients = model->CoefficientsWithIntercept();
+    PairRegenerator regenerate(index, dataset_.pivot_offsets);
+    const Matrix train_x = SampledFeatureRows(
+        index, config.features, training.row_indices,
+        [&](size_t row) { return regenerate.At(row); },
+        config.execution.num_threads, lcp_ptr);
+    model = MakeClassifier(config.classifier, config.seed);
+    model->Fit(train_x, training.labels);
+    result.training_size = training.size();
+    result.model_coefficients = model->CoefficientsWithIntercept();
   }
 
   // ---- Pruning context, identical to the batch path's. ----
@@ -345,19 +291,10 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
     obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
     const std::vector<RetainedCandidate> retained =
         aggregator->TakeRetained();
-    PivotNeighbourGenerator generator(index);
-    std::vector<EntityId> neighbours;
-    size_t current_pivot = kNoPivot;
+    PairRegenerator regenerate(index, dataset_.pivot_offsets);
     for (const RetainedCandidate& candidate : retained) {
-      const size_t pivot = PivotOf(candidate.index);
-      if (pivot != current_pivot) {
-        generator.Generate(pivot, &neighbours);
-        current_pivot = pivot;
-      }
-      const CandidatePair pair{
-          static_cast<EntityId>(pivot),
-          neighbours[candidate.index - dataset_.pivot_offsets[pivot]]};
-      emit(candidate.index, pair, candidate.probability);
+      emit(candidate.index, regenerate.At(candidate.index),
+           candidate.probability);
     }
   } else {
     // Weight-based kinds: a second sweep re-scores each shard and applies

@@ -1,9 +1,11 @@
 // StreamingExecutor: bounded-memory, out-of-core execution of the full
 // weight -> classify -> prune pipeline.
 //
-// The batch path (RunMetaBlocking) holds the candidate set, the feature
-// matrix, and the probability vector in RAM at once — O(|C|) each, which
-// caps it well below the paper's X10 scalability series. The executor
+// The batch path (RunMetaBlocking) holds the candidate set, its labels
+// and the probability vector in RAM at once — O(|C|) each, which caps it
+// well below the paper's X10 scalability series. (It scores candidates in
+// one fused sweep and never holds a feature matrix; this executor still
+// keeps each shard's feature rows in its arena.) The executor
 // instead slices the GLOBAL candidate order into contiguous, chunk-aligned
 // shards and drains them one at a time through a reusable arena:
 //
@@ -25,12 +27,14 @@
 //     fold in exactly the batch fold order (floating-point addition is not
 //     associative — this ordering is the load-bearing invariant);
 //   * a feature row is a pure function of (pivot, neighbour) and the
-//     global EntityIndex, so per-shard extraction reproduces the batch
-//     matrix rows bit for bit (core/features.cc sweeps the pivot's blocks
-//     identically regardless of which rows are requested);
-//   * the trainer replays the batch path's balanced sample exactly — same
-//     Rng draw sequence via SampleWithoutReplacementSparse, same training
-//     rows, same row order — so the fitted model is identical.
+//     global EntityIndex, so per-shard extraction reproduces the rows the
+//     batch sweep scores bit for bit (core/features.cc sweeps the pivot's
+//     blocks identically regardless of which rows are requested);
+//   * the trainer draws the batch path's balanced sample with the same
+//     SampleBalanced (ml/sampler.h), from the positive indices instead of
+//     a label byte per candidate, and extracts its rows with the same
+//     SampledFeatureRows (core/features.h) — same rows, same row order —
+//     so the fitted model is identical.
 //
 // Deliberate departure from the serving layer (serve/session.h): serving
 // hash-shards TOKENS so a shard is refreshable in isolation; here shards
@@ -136,8 +140,6 @@ class StreamingExecutor {
 
   std::vector<ShardSlice> PlanShards(size_t num_chunks,
                                      size_t feature_dims) const;
-  /// Pivot owning global candidate index `index`.
-  size_t PivotOf(uint64_t index) const;
   /// Regenerates pairs [shard.first_index, shard.end_index), extracts
   /// features and classifies them into `arena`.
   void FillArena(const ShardSlice& shard, const MetaBlockingConfig& config,

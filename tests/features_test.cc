@@ -1,9 +1,13 @@
 #include "core/features.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "ml/classifier.h"
+#include "ml/sampler.h"
 #include "test_support.h"
 
 namespace gsmb {
@@ -199,6 +203,86 @@ TEST(FeaturesCleanClean, MatchesBruteForce) {
                             index.SumInvBlockSizes(gj) - inv_size),
                 1e-9);
   }
+}
+
+// A 64-bit fold of the raw bits of every value, in order: any change to
+// any bit of any feature changes the fold.
+uint64_t FoldBits(const std::vector<double>& values) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (double v : values) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    h ^= bits;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The kernel's floating-point expressions are pinned bit for bit: these
+// folds were recorded from the original per-row kernel. Retained digests
+// are far coarser than feature bits, so this is what catches a reordered
+// expression or a changed per-entity term.
+TEST(FeatureKernel, AllColumnsBitsPinnedCleanClean) {
+  const PreparedDataset& prep = gsmb::testing::MediumDataset();
+  FeatureExtractor extractor(*prep.index, prep.pairs);
+  ASSERT_EQ(prep.pairs.size(), 47718u);
+  EXPECT_EQ(FoldBits(extractor.ComputeAll(1).data()), 0xa75f7a10d1bd8e05ULL);
+  EXPECT_EQ(FoldBits(extractor.ComputeAll(4).data()), 0xa75f7a10d1bd8e05ULL);
+}
+
+TEST(FeatureKernel, AllColumnsBitsPinnedDirty) {
+  const PreparedDataset& prep = gsmb::testing::SmallDirtyDataset();
+  FeatureExtractor extractor(*prep.index, prep.pairs);
+  ASSERT_EQ(prep.pairs.size(), 49049u);
+  EXPECT_EQ(FoldBits(extractor.ComputeAll(1).data()), 0x288816b1398e1f90ULL);
+  EXPECT_EQ(FoldBits(extractor.ComputeAll(4).data()), 0x288816b1398e1f90ULL);
+}
+
+// Score() is the fused sweep: the same rows as Compute(), scored in place.
+TEST(FeatureKernel, ScoreEqualsPredictBatchOfCompute) {
+  for (const PreparedDataset* prep : {&gsmb::testing::MediumDataset(),
+                                      &gsmb::testing::SmallDirtyDataset()}) {
+    FeatureExtractor extractor(*prep->index, prep->pairs);
+    for (const FeatureSet& set :
+         {FeatureSet::BlastOptimal(), FeatureSet::RcnpOptimal(),
+          FeatureSet::Paper2014(), FeatureSet::All()}) {
+      const Matrix features = extractor.Compute(set, 1);
+      Rng rng(5);
+      const TrainingSet training = SampleBalanced(prep->is_positive, 25, &rng);
+      auto model = MakeClassifier(ClassifierKind::kLogisticRegression);
+      model->Fit(features.SelectRows(training.row_indices), training.labels);
+      for (size_t threads : {1, 4}) {
+        EXPECT_EQ(extractor.Score(set, *model, threads),
+                  model->PredictBatch(extractor.Compute(set, threads),
+                                      threads))
+            << prep->name << " " << set.ToString() << " " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
+TEST(FeatureKernel, SampledRowsEqualFullMatrixRows) {
+  const PreparedDataset& prep = gsmb::testing::MediumDataset();
+  const FeatureSet set = FeatureSet::All();
+  const Matrix all = FeatureExtractor(*prep.index, prep.pairs).Compute(set);
+  // Unsorted, with a pivot's rows split apart — as a balanced sample lists
+  // its positives, then its negatives.
+  const std::vector<size_t> rows = {prep.pairs.size() - 1, 17, 3, 40000,
+                                    18, 0, 12345};
+  size_t calls = 0;
+  size_t last = 0;
+  const Matrix sampled = SampledFeatureRows(
+      *prep.index, set, rows,
+      [&](size_t row) {
+        EXPECT_TRUE(calls == 0 || row > last) << "indices not ascending";
+        ++calls;
+        last = row;
+        return prep.pairs[row];
+      },
+      4, nullptr);
+  EXPECT_EQ(calls, rows.size());
+  EXPECT_EQ(sampled.data(), all.SelectRows(rows).data());
 }
 
 }  // namespace

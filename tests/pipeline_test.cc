@@ -160,5 +160,43 @@ TEST(RunMetaBlocking, AllPruningKindsProduceResults) {
   }
 }
 
+// The fused path (train on the sampled pairs' rows, Score every candidate)
+// must equal training on SelectRows of the full matrix and PredictBatch
+// over it, for every pruning kind, on Clean-Clean and Dirty ER.
+TEST(RunMetaBlocking, FusedSweepEqualsPrecomputedMatrix) {
+  for (const PreparedDataset* prep :
+       {&testing::MediumDataset(), &testing::SmallDirtyDataset()}) {
+    for (const FeatureSet& set :
+         {FeatureSet::BlastOptimal(), FeatureSet::RcnpOptimal()}) {
+      const Matrix features =
+          FeatureExtractor(*prep->index, prep->pairs).Compute(set, 2);
+      for (PruningKind kind : AllPruningKinds()) {
+        MetaBlockingConfig config;
+        config.features = set;
+        config.pruning = kind;
+        config.train_per_class = 25;
+        config.seed = 3;
+        config.keep_probabilities = true;
+        config.keep_retained = true;
+        config.execution.num_threads = 2;
+        const MetaBlockingResult fused = RunMetaBlocking(*prep, config);
+        const MetaBlockingResult reference =
+            RunMetaBlockingWithFeatures(*prep, config, features);
+        const std::string label =
+            prep->name + " " + set.ToString() + " " + PruningKindName(kind);
+        EXPECT_EQ(fused.probabilities, reference.probabilities) << label;
+        EXPECT_EQ(fused.model_coefficients, reference.model_coefficients)
+            << label;
+        EXPECT_EQ(fused.retained_indices, reference.retained_indices)
+            << label;
+        EXPECT_EQ(fused.training_size, reference.training_size) << label;
+        EXPECT_GT(fused.retained_indices.size(), 0u) << label;
+        // The fused sweep is timed as features; classify stays 0.
+        EXPECT_EQ(fused.classify_seconds, 0.0) << label;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gsmb
