@@ -228,6 +228,32 @@ void BM_ScoreParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
+// The streaming executor's shard fill over the whole candidate order: pairs
+// (regenerated from the blocks), features and classification in one pass,
+// split across threads by candidate count. Compare against
+// BM_CandidateGeneration + BM_ScoreParallel at the same Arg.
+void BM_ScoreCandidateRange(benchmark::State& state) {
+  const auto threads = static_cast<size_t>(state.range(0));
+  const PreparedDataset& prep = Prepared();
+  std::vector<uint64_t> offsets(NumCandidatePivots(*prep.index) + 1, 0);
+  for (const CandidatePair& pair : prep.pairs) ++offsets[pair.left + 1];
+  for (size_t p = 1; p < offsets.size(); ++p) offsets[p] += offsets[p - 1];
+  const LogisticRegression& model = BlastModel();
+  std::vector<CandidatePair> pairs;
+  std::vector<double> probs;
+  for (auto _ : state) {
+    ScoreCandidateRange(*prep.index, offsets, 0, offsets.back(),
+                        FeatureSet::BlastOptimal(), model, threads, nullptr,
+                        &pairs, &probs, nullptr);
+    benchmark::DoNotOptimize(pairs.data());
+    benchmark::DoNotOptimize(probs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+}
+BENCHMARK(BM_ScoreCandidateRange)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
 void BM_PruningParallel(benchmark::State& state) {
   const PruningKind kind = static_cast<PruningKind>(state.range(0));
   const auto threads = static_cast<size_t>(state.range(1));

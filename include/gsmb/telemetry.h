@@ -117,6 +117,10 @@ class TelemetrySink {
   uint32_t EnterSpan();
   void ExitSpan(const char* name, double begin_us, uint32_t depth,
                 const char* latency_histogram);
+  /// Appends a completed span with an explicit start and duration at the
+  /// calling thread's current nesting depth (AttributeFusedRegion's
+  /// attributed phase spans, which no clock read brackets).
+  void RecordSpan(const char* name, double begin_us, double dur_us);
 
   // Export (thread-safe; merges all per-thread slots).
   MetricsSnapshot SnapshotMetrics() const;
@@ -269,6 +273,44 @@ class ScopedPhase {
   TelemetrySink* sink_;
   double begin_us_;
   uint32_t depth_ = 0;
+};
+
+/// Phase accounting for a fused region: one pass in which several phases
+/// interleave inside every worker (the streaming shard fill regenerates
+/// pairs, evaluates features and classifies tile by tile; the batch scoring
+/// sweep does the last two), so the phases cannot be timed one after
+/// another. The workers tally the seconds each phase's code ran (`busy`,
+/// summed over workers) and the region's wall time is split over the
+/// phases in proportion to those tallies. The phase seconds and spans of a
+/// fused region are therefore ATTRIBUTED SHARES of its wall time, not
+/// separately measured intervals; they add up to the wall time, so RT
+/// totals still cover exactly the region.
+///
+/// Adds each phase's share of [begin_us, end_us) to `timings` and, with a
+/// sink installed, emits one span per phase with a share, laid end to end
+/// across the region in phase order. All-zero tallies give the whole
+/// region to `fallback`.
+void AttributeFusedRegion(PhaseTimings* timings, double begin_us,
+                          double end_us, const PhaseTimings& busy,
+                          Phase fallback);
+
+/// RAII form of AttributeFusedRegion: times the region on the telemetry
+/// clock from construction to destruction; the region's workers add their
+/// busy seconds to busy().
+class FusedPhases {
+ public:
+  FusedPhases(PhaseTimings* timings, Phase fallback);
+  ~FusedPhases();
+  FusedPhases(const FusedPhases&) = delete;
+  FusedPhases& operator=(const FusedPhases&) = delete;
+
+  PhaseTimings* busy() { return &busy_; }
+
+ private:
+  PhaseTimings* timings_;
+  Phase fallback_;
+  double begin_us_;
+  PhaseTimings busy_;
 };
 
 }  // namespace obs

@@ -18,6 +18,13 @@ size_t NumCandidatePivots(const EntityIndex& index) {
   return index.clean_clean() ? index.num_left() : index.num_entities();
 }
 
+size_t PivotOfCandidate(const std::vector<uint64_t>& pivot_offsets,
+                        uint64_t index) {
+  auto it = std::upper_bound(pivot_offsets.begin(), pivot_offsets.end(),
+                             index);
+  return static_cast<size_t>(it - pivot_offsets.begin()) - 1;
+}
+
 PivotNeighbourGenerator::PivotNeighbourGenerator(const EntityIndex& index)
     : index_(index), last_seen_(index.num_entities(), 0) {}
 

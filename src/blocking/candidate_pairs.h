@@ -8,6 +8,7 @@
 #ifndef GSMB_BLOCKING_CANDIDATE_PAIRS_H_
 #define GSMB_BLOCKING_CANDIDATE_PAIRS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "blocking/entity_index.h"
@@ -39,6 +40,13 @@ std::vector<CandidatePair> GenerateCandidatePairs(const EntityIndex& index,
 /// Number of pivot entities the candidate sweep iterates: |E1| for
 /// Clean-Clean ER (left entities pivot), |E| for Dirty ER.
 size_t NumCandidatePivots(const EntityIndex& index);
+
+/// The pivot owning global candidate index `index`, given the prefix sums
+/// of the per-pivot candidate counts (size NumCandidatePivots + 1, as
+/// stream/'s StreamingDataset::pivot_offsets holds them): the last pivot p
+/// with pivot_offsets[p] <= index. `index` must be below the total.
+size_t PivotOfCandidate(const std::vector<uint64_t>& pivot_offsets,
+                        uint64_t index);
 
 /// Enumerates one pivot entity's distinct candidate neighbours — the exact
 /// per-pivot step of GenerateCandidatePairs, exposed so shard-scoped

@@ -16,29 +16,39 @@
 // The row kernel. Everything except LCP is produced by one sweep that
 // accumulates, per pivot entity, the per-neighbour sums (|B_i ∩ B_j|,
 // Σ1/||b||, Σ1/|b|) over its blocks — O(Σ||b||) total — into one packed
-// record per neighbour. The pivot's rows are then evaluated a tile at a
-// time (up to 128 rows in a stack buffer), one feature column per tight
-// loop, from those sums and per-entity terms. The logarithms of CF-IBF and
-// EJS are taken once per entity, not once per row. Every value keeps the
-// expression and evaluation order of the definitions above, so the bits
-// do not depend on the tiling or the thread count. LCP deliberately pays
-// the extra per-entity distinct-candidate pass the paper describes as its
-// cost, so feature-set runtime comparisons (Figs. 7/9/10) reproduce the
-// paper's shape.
+// record per neighbour above the pivot (the only rows any pivot has). The
+// pivot's rows are then evaluated a tile at a time (up to 128 rows in a
+// stack buffer), one feature column per tight loop, from those sums and
+// per-entity terms. The logarithms of CF-IBF and EJS are taken once per
+// entity, not once per row. Every value keeps the expression and
+// evaluation order of the definitions above, so the bits do not depend on
+// the tiling, the thread count or which of a pivot's rows are requested.
+// LCP deliberately pays the extra per-entity distinct-candidate pass the
+// paper describes as its cost, so feature-set runtime comparisons
+// (Figs. 7/9/10) reproduce the paper's shape.
 //
-// The kernel has two consumers. Compute() copies every tile into a Matrix
-// (tests, benches, the streaming arena, serving). Score() is the fused
-// sweep of the batch executor: the classifier scores each tile's rows
-// while they are still in cache and only P(match) is kept, so scoring |C|
-// candidates never allocates the |C|×d feature matrix. Both read the same
-// rows, so Score() equals PredictBatch(Compute()) bit for bit.
+// The kernel has three consumers, all reading the same rows:
+//   * Compute() copies every tile into a Matrix (tests, benches, serving);
+//   * Score() is the batch executor's fused sweep: the classifier scores
+//     each tile's rows while they are still in cache and only P(match) is
+//     kept, so scoring |C| candidates never allocates the |C|×d matrix;
+//   * ScoreCandidateRange() is the streaming executor's shard fill: it
+//     needs no pair list at all — the sweep that accumulates a pivot's sums
+//     also collects its neighbours — and emits each candidate's pair and
+//     P(match) for a contiguous slice of the global candidate order.
+// Score() and ScoreCandidateRange() therefore equal PredictBatch(Compute())
+// bit for bit.
 //
-// The sweep parallelises over pivot-entity groups (each group's rows are
-// disjoint), so multi-threaded extraction is bit-identical to serial.
+// Score() parallelises over pivot-entity groups, ScoreCandidateRange() over
+// equal candidate counts (a pivot cut by a boundary is swept by both
+// sides); either way each row is written once, so multi-threaded results
+// are bit-identical to serial ones. Both can tally their workers' busy
+// seconds per phase for obs::AttributeFusedRegion.
 
 #ifndef GSMB_CORE_FEATURES_H_
 #define GSMB_CORE_FEATURES_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -50,6 +60,10 @@
 namespace gsmb {
 
 class ProbabilisticClassifier;
+
+namespace obs {
+struct PhaseTimings;
+}  // namespace obs
 
 class FeatureExtractor {
  public:
@@ -66,22 +80,24 @@ class FeatureExtractor {
   /// bit-identical results.
   ///
   /// `precomputed_lcp` (optional) supplies the per-entity LCP values of
-  /// ComputeLcpPerEntity() so repeated calls over slices of the same
-  /// index — the streaming executor's per-shard sweeps, the batch
-  /// executor's training rows and scoring sweep — pay the O(Σ||b||) LCP
-  /// pass once instead of once per call. Ignored when the set does not
-  /// contain LCP.
+  /// ComputeLcpPerEntity() so repeated calls over the same index — the
+  /// executors' training rows and scoring sweeps, the streaming executor's
+  /// per-shard fills — pay the O(Σ||b||) LCP pass once instead of once per
+  /// call. Ignored when the set does not contain LCP.
   Matrix Compute(const FeatureSet& set, size_t num_threads = 1,
                  const std::vector<double>* precomputed_lcp = nullptr) const;
 
   /// P(match) of every pair under `model` (fitted on `set`'s columns),
   /// bit-identical to model.PredictBatch(Compute(set, ...)) without the
   /// matrix: each row lives in a worker's stack tile only until the model
-  /// has scored it. Workers write disjoint rows of the result.
+  /// has scored it. Workers write disjoint rows of the result. With `busy`,
+  /// the workers' seconds are added to its kFeatures (sums and rows) and
+  /// kClassify (the model) entries.
   std::vector<double> Score(
       const FeatureSet& set, const ProbabilisticClassifier& model,
       size_t num_threads = 1,
-      const std::vector<double>* precomputed_lcp = nullptr) const;
+      const std::vector<double>* precomputed_lcp = nullptr,
+      obs::PhaseTimings* busy = nullptr) const;
 
   /// All nine canonical columns (see FeatureSet::FullMatrixColumns()).
   Matrix ComputeAll(size_t num_threads = 1) const {
@@ -96,6 +112,28 @@ class FeatureExtractor {
   const EntityIndex& index_;
   const std::vector<CandidatePair>& pairs_;
 };
+
+/// Pairs and P(match) of the global candidates [first, end) in one pass:
+/// the candidate order of GenerateCandidatePairs(index), located through
+/// `pivot_offsets` (prefix sums of the per-pivot candidate counts). Resizes
+/// `pairs` and `probabilities` to end - first and writes candidate i at
+/// i - first; both equal the matching slice of GenerateCandidatePairs and
+/// of FeatureExtractor(index, those pairs).Score(set, model, ...) bit for
+/// bit, for any range and thread count. No pair list and no feature matrix
+/// exist: each pivot's neighbours come from the sweep that accumulates its
+/// sums, and each tile is scored while it is in cache. Work is split
+/// across `num_threads` by candidate count. With `busy`, the workers'
+/// seconds are added to its kPairs (sweep, neighbour sort, pair writes),
+/// kFeatures (rows) and kClassify (the model) entries.
+void ScoreCandidateRange(const EntityIndex& index,
+                         const std::vector<uint64_t>& pivot_offsets,
+                         uint64_t first, uint64_t end, const FeatureSet& set,
+                         const ProbabilisticClassifier& model,
+                         size_t num_threads,
+                         const std::vector<double>* precomputed_lcp,
+                         std::vector<CandidatePair>* pairs,
+                         std::vector<double>* probabilities,
+                         obs::PhaseTimings* busy);
 
 /// Feature rows for a few selected candidates — a training sample — in the
 /// order `rows` lists them (the order Fit() sees). `pair_at` resolves a

@@ -219,12 +219,14 @@ MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
       &result);
 
   // The fused sweep: every candidate's feature row is scored while it is
-  // still in cache, so no |C|×d matrix exists. Timed as features; classify
-  // stays 0 on this path.
+  // still in cache, so no |C|×d matrix exists. Features and classify
+  // interleave per tile, so the sweep's wall time is split between them by
+  // the workers' busy tallies.
   std::vector<double> probabilities;
   {
-    obs::ScopedPhase phase(&result.phases, obs::Phase::kFeatures);
-    probabilities = extractor.Score(config.features, *model, threads, lcp_ptr);
+    obs::FusedPhases phases(&result.phases, obs::Phase::kFeatures);
+    probabilities = extractor.Score(config.features, *model, threads, lcp_ptr,
+                                    phases.busy());
   }
   return PruneAndEvaluate(prepared, config, std::move(probabilities),
                           std::move(result));

@@ -182,10 +182,11 @@ PreparedRef RefOf(const PreparedDataset& dataset);
 /// Runs one configuration end to end (features computed internally and
 /// included in the timing, as the paper's RT does). No |C|×d feature matrix
 /// is built: the classifier trains on the sampled pairs' rows, then
-/// FeatureExtractor::Score weights every candidate in one sweep. That
-/// sweep is timed as `features`, so `classify_seconds` reads 0 here; the
-/// RT sum covers the same work. Results equal RunMetaBlockingWithFeatures
-/// over Compute(config.features) bit for bit.
+/// FeatureExtractor::Score weights every candidate in one sweep. Its wall
+/// time is split between `features` and `classify` in proportion to the
+/// workers' busy time in each (obs::AttributeFusedRegion): attributed
+/// shares whose sum is the sweep's wall time. Results equal
+/// RunMetaBlockingWithFeatures over Compute(config.features) bit for bit.
 MetaBlockingResult RunMetaBlocking(const PreparedDataset& dataset,
                                    const MetaBlockingConfig& config);
 MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,

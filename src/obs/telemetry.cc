@@ -256,6 +256,19 @@ void TelemetrySink::ExitSpan(const char* name, double begin_us,
   }
 }
 
+void TelemetrySink::RecordSpan(const char* name, double begin_us,
+                               double dur_us) {
+  ThreadState* state = StateForThisThread();
+  std::lock_guard<std::mutex> lock(state->mu);
+  SpanEvent event;
+  event.name = name;
+  event.ts_us = begin_us;
+  event.dur_us = dur_us;
+  event.tid = state->tid;
+  event.depth = state->depth;
+  state->spans.push_back(std::move(event));
+}
+
 MetricsSnapshot TelemetrySink::SnapshotMetrics() const {
   MetricsSnapshot merged;
   std::lock_guard<std::mutex> lock(mu_);
@@ -363,6 +376,34 @@ ScopedPhase::~ScopedPhase() {
   if (sink_ != nullptr) {
     sink_->ExitSpan(PhaseName(phase_), begin_us_, depth_, nullptr);
   }
+}
+
+void AttributeFusedRegion(PhaseTimings* timings, double begin_us,
+                          double end_us, const PhaseTimings& busy,
+                          Phase fallback) {
+  PhaseTimings weights = busy;
+  if (weights.Total() <= 0.0) {
+    weights = PhaseTimings();
+    weights.Add(fallback, 1.0);
+  }
+  const double total = weights.Total();
+  TelemetrySink* sink = CurrentSink();
+  double cursor_us = begin_us;
+  for (int i = 0; i < kPhaseCount; ++i) {
+    if (weights.seconds[i] <= 0.0) continue;
+    const auto phase = static_cast<Phase>(i);
+    const double share_us = (end_us - begin_us) * (weights.seconds[i] / total);
+    if (timings != nullptr) timings->Add(phase, share_us * 1e-6);
+    if (sink != nullptr) sink->RecordSpan(PhaseName(phase), cursor_us, share_us);
+    cursor_us += share_us;
+  }
+}
+
+FusedPhases::FusedPhases(PhaseTimings* timings, Phase fallback)
+    : timings_(timings), fallback_(fallback), begin_us_(NowUs()) {}
+
+FusedPhases::~FusedPhases() {
+  AttributeFusedRegion(timings_, begin_us_, NowUs(), busy_, fallback_);
 }
 
 }  // namespace obs

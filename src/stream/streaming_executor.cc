@@ -15,16 +15,6 @@ namespace gsmb {
 
 namespace {
 
-// Mirrors the pivot chunking of blocking/candidate_pairs.cc.
-constexpr size_t kPivotChunkGrain = 1024;
-
-/// Pivot owning global candidate index `index`.
-size_t PivotOf(const std::vector<uint64_t>& pivot_offsets, uint64_t index) {
-  auto it = std::upper_bound(pivot_offsets.begin(), pivot_offsets.end(),
-                             index);
-  return static_cast<size_t>(it - pivot_offsets.begin()) - 1;
-}
-
 /// Resolves global candidate indices to their pairs without the
 /// materialised candidate set: each pivot's neighbour list is regenerated
 /// when the pivot changes, so ascending queries rebuild each pivot once.
@@ -35,7 +25,7 @@ class PairRegenerator {
       : pivot_offsets_(pivot_offsets), generator_(index) {}
 
   CandidatePair At(uint64_t index) {
-    const size_t pivot = PivotOf(pivot_offsets_, index);
+    const size_t pivot = PivotOfCandidate(pivot_offsets_, index);
     if (pivot != current_pivot_) {
       generator_.Generate(pivot, &neighbours_);
       current_pivot_ = pivot;
@@ -55,8 +45,14 @@ class PairRegenerator {
 
 struct StreamingExecutor::ShardArena {
   std::vector<CandidatePair> pairs;
-  Matrix features;
   std::vector<double> probabilities;
+
+  /// Bytes the arena's buffers hold (capacity: they are reused across
+  /// shards, so this is the high-water mark so far).
+  size_t Bytes() const {
+    return pairs.capacity() * sizeof(CandidatePair) +
+           probabilities.capacity() * sizeof(double);
+  }
 };
 
 StreamingExecutor::StreamingExecutor(const StreamingDataset& dataset,
@@ -112,57 +108,17 @@ void StreamingExecutor::FillArena(const ShardSlice& shard,
                                   const std::vector<double>* lcp,
                                   ShardArena* arena,
                                   StreamingResult* timings) const {
-  const EntityIndex& index = *dataset_.index;
-  const std::vector<uint64_t>& offsets = dataset_.pivot_offsets;
-
-  // ---- Regenerate the shard's slice of the global candidate order. ----
+  // Pairs, features and classify interleave per pivot tile inside each
+  // worker, so the fill's wall time is split over the three phases by the
+  // workers' busy tallies.
   {
-    obs::ScopedPhase phase(&timings->phases, obs::Phase::kPairs);
-    arena->pairs.resize(shard.end_index - shard.first_index);
-    const size_t pivot_begin = PivotOf(offsets, shard.first_index);
-    const size_t pivot_end = PivotOf(offsets, shard.end_index - 1) + 1;
-    const std::vector<ChunkRange> pivot_chunks =
-        DeterministicChunks(pivot_end - pivot_begin, kPivotChunkGrain);
-    ParallelFor(
-        pivot_chunks.size(), config.execution.num_threads,
-        [&](size_t chunks_begin, size_t chunks_end) {
-          PivotNeighbourGenerator generator(index);
-          std::vector<EntityId> neighbours;
-          for (size_t c = chunks_begin; c < chunks_end; ++c) {
-            for (size_t p = pivot_chunks[c].begin; p < pivot_chunks[c].end;
-                 ++p) {
-              const size_t pivot = pivot_begin + p;
-              const uint64_t begin =
-                  std::max<uint64_t>(offsets[pivot], shard.first_index);
-              const uint64_t end =
-                  std::min<uint64_t>(offsets[pivot + 1], shard.end_index);
-              if (begin >= end) continue;  // empty pivot, or boundary overlap
-              generator.Generate(pivot, &neighbours);
-              for (uint64_t i = begin; i < end; ++i) {
-                arena->pairs[i - shard.first_index] = {
-                    static_cast<EntityId>(pivot),
-                    neighbours[i - offsets[pivot]]};
-              }
-            }
-          }
-        });
+    obs::FusedPhases phases(&timings->phases, obs::Phase::kPairs);
+    ScoreCandidateRange(*dataset_.index, dataset_.pivot_offsets,
+                        shard.first_index, shard.end_index, config.features,
+                        model, config.execution.num_threads, lcp,
+                        &arena->pairs, &arena->probabilities, phases.busy());
   }
-
-  // ---- Features (against the GLOBAL index: rows are bit-identical to the
-  // corresponding rows of the batch path's full matrix). ----
-  {
-    obs::ScopedPhase phase(&timings->phases, obs::Phase::kFeatures);
-    FeatureExtractor extractor(index, arena->pairs);
-    arena->features = extractor.Compute(config.features,
-                                        config.execution.num_threads, lcp);
-  }
-
-  // ---- Classify. ----
-  {
-    obs::ScopedPhase phase(&timings->phases, obs::Phase::kClassify);
-    arena->probabilities =
-        model.PredictBatch(arena->features, config.execution.num_threads);
-  }
+  obs::GaugeMax("arena.bytes.peak", static_cast<double>(arena->Bytes()));
 }
 
 StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
@@ -185,10 +141,6 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
     result.max_shard_candidates = std::max(
         result.max_shard_candidates, shard.end_index - shard.first_index);
   }
-  obs::GaugeMax("arena.bytes.peak",
-                static_cast<double>(result.max_shard_candidates *
-                                    StreamingArenaBytesPerPair(
-                                        config.features.Dimensions())));
 
   // ---- LCP once, reused by every per-shard extraction. ----
   static const std::vector<CandidatePair> kNoPairs;
@@ -299,10 +251,16 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   } else {
     // Weight-based kinds: a second sweep re-scores each shard and applies
     // the finalized thresholds; per-chunk keeps merge in chunk order, so
-    // emission is ascending and equals the batch ChunkedRetain exactly.
-    ++result.sweeps;
+    // emission is ascending and equals the batch ChunkedRetain exactly. A
+    // single shard filled by sweep 1 is still resident: the thresholds
+    // apply to it as it is, and no second fill is needed.
+    const bool resident =
+        shards.size() == 1 && aggregator->needs_accumulation();
+    if (!resident) ++result.sweeps;
     for (const ShardSlice& shard : shards) {
-      FillArena(shard, config, *model, lcp_ptr, &arena, &result);
+      if (!resident) {
+        FillArena(shard, config, *model, lcp_ptr, &arena, &result);
+      }
       obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
       const size_t shard_chunks = shard.chunk_end - shard.chunk_begin;
       std::vector<std::vector<uint32_t>> parts(shard_chunks);

@@ -3,22 +3,28 @@
 //
 // The batch path (RunMetaBlocking) holds the candidate set, its labels
 // and the probability vector in RAM at once — O(|C|) each, which caps it
-// well below the paper's X10 scalability series. (It scores candidates in
-// one fused sweep and never holds a feature matrix; this executor still
-// keeps each shard's feature rows in its arena.) The executor
-// instead slices the GLOBAL candidate order into contiguous, chunk-aligned
-// shards and drains them one at a time through a reusable arena:
+// well below the paper's X10 scalability series. The executor instead
+// slices the GLOBAL candidate order into contiguous, chunk-aligned shards
+// and drains them one at a time through a reusable arena that holds only
+// the shard's pairs and probabilities:
 //
-//   regenerate shard pairs -> features (core/features.cc, global index)
-//   -> classify -> feed the shard's chunks to the pruning aggregator
-//   -> fold -> next shard
+//   fill the arena in one pass (ScoreCandidateRange, core/features.h:
+//   each pivot's blocks are swept once, yielding its neighbours and their
+//   feature sums; each tile of rows is scored while it is in cache)
+//   -> feed the shard's chunks to the pruning aggregator -> fold
+//   -> next shard
+//
+// No per-shard feature matrix exists. The fill's pairs, features and
+// classify phases interleave inside each worker, so their seconds are
+// attributed shares of the fill's wall time (obs::AttributeFusedRegion).
 //
 // Pruning algorithms that need global per-entity state (WEP's mean, WNP's
 // and BLAST's per-node aggregates) take a second sweep that re-scores each
-// shard and applies the finalized thresholds; BCl needs one sweep and the
-// cardinality kinds (CEP/CNP/RCNP) emit straight from their folded top-k
-// structures. Peak memory is O(largest shard + |E| + aggregates), never
-// O(|C|).
+// shard and applies the finalized thresholds — except at one shard, whose
+// arena is still resident after the first sweep; BCl needs one sweep and
+// the cardinality kinds (CEP/CNP/RCNP) emit straight from their folded
+// top-k structures. Peak memory is O(largest shard + |E| + aggregates),
+// never O(|C|).
 //
 // Bit-identity. The retained set equals RunMetaBlocking's for EVERY shard
 // count and thread count, by construction rather than by luck:
@@ -27,9 +33,10 @@
 //     fold in exactly the batch fold order (floating-point addition is not
 //     associative — this ordering is the load-bearing invariant);
 //   * a feature row is a pure function of (pivot, neighbour) and the
-//     global EntityIndex, so per-shard extraction reproduces the rows the
-//     batch sweep scores bit for bit (core/features.cc sweeps the pivot's
-//     blocks identically regardless of which rows are requested);
+//     global EntityIndex, so per-shard scoring reproduces the rows and
+//     probabilities of the batch sweep bit for bit (core/features.cc
+//     sweeps the pivot's blocks identically regardless of which rows are
+//     requested, and a pivot cut by a shard boundary is swept by both);
 //   * the trainer draws the batch path's balanced sample with the same
 //     SampleBalanced (ml/sampler.h), from the positive indices instead of
 //     a label byte per candidate, and extracts its rows with the same
@@ -55,11 +62,18 @@
 
 namespace gsmb {
 
-/// Arena bytes one candidate occupies while a shard is resident: the pair,
-/// its feature row, its probability, plus slack for the per-chunk
-/// aggregation partials. PlanShards sizes shards with this, and the
-/// Engine's `auto` mode uses the SAME model to decide batch vs streaming —
-/// one function so the two can never drift apart.
+/// Arena bytes one candidate may occupy while a shard is resident, plus
+/// slack for the per-chunk aggregation partials. PlanShards sizes shards
+/// with this, and the Engine's `auto` mode uses the SAME model to decide
+/// batch vs streaming — one function so the two can never drift apart.
+///
+/// An upper bound: it counts a feature row (8·d bytes) per pair that the
+/// arena does not hold — the arena holds only the pair and its
+/// probability (24 bytes). Shrinking the model would move `auto`'s choice
+/// and the shard counts of budgeted runs: the 20,531-candidate fixture of
+/// EngineAuto.TinyBudgetResolvesToStreamingWithSameAnswer needs 1.15 MB at
+/// 56 B/pair but 0.49 MB at 24 B/pair against its 1 MiB budget, so it
+/// would resolve to batch. That change deserves its own measurement.
 inline constexpr uint64_t StreamingArenaBytesPerPair(size_t feature_dims) {
   return sizeof(CandidatePair) + 8ull * feature_dims + 8 + 8;
 }
@@ -71,7 +85,7 @@ struct StreamingOptions {
   /// identical for ANY value.
   size_t num_shards = 16;
   /// When > 0, the shard count is raised (never lowered) until one shard's
-  /// arena — pairs + feature rows + probabilities — fits this budget. The
+  /// arena, as StreamingArenaBytesPerPair models it, fits this budget. The
   /// budget covers the arena, not the resident EntityIndex/aggregates,
   /// which are O(|E|) and shared with the batch path.
   size_t memory_budget_mb = 0;
@@ -85,6 +99,8 @@ struct StreamingResult {
   /// RT components, seconds. `generate_seconds` (pair regeneration, a cost
   /// the batch path pays during preparation instead) is included in
   /// `total_seconds` so streaming-vs-batch wall-clock comparisons are fair.
+  /// Generate, feature and classify seconds are attributed shares of the
+  /// fused shard fills (obs::AttributeFusedRegion).
   double generate_seconds = 0.0;
   double feature_seconds = 0.0;
   double train_seconds = 0.0;
@@ -101,7 +117,9 @@ struct StreamingResult {
   // Execution shape, for benches and diagnostics.
   size_t num_shards_used = 0;
   size_t max_shard_candidates = 0;  ///< arena high-water mark, in pairs
-  size_t sweeps = 0;                ///< full passes over the candidate space
+  /// Passes over the candidate space that fill the arena; a single-shard
+  /// second pass over the resident arena does not count.
+  size_t sweeps = 0;
 };
 
 class StreamingExecutor {
@@ -140,8 +158,9 @@ class StreamingExecutor {
 
   std::vector<ShardSlice> PlanShards(size_t num_chunks,
                                      size_t feature_dims) const;
-  /// Regenerates pairs [shard.first_index, shard.end_index), extracts
-  /// features and classifies them into `arena`.
+  /// Fills `arena` with the pairs and probabilities of candidates
+  /// [shard.first_index, shard.end_index) in one ScoreCandidateRange pass,
+  /// adding its attributed pairs/features/classify seconds to `timings`.
   void FillArena(const ShardSlice& shard, const MetaBlockingConfig& config,
                  const ProbabilisticClassifier& model,
                  const std::vector<double>* lcp, ShardArena* arena,

@@ -23,6 +23,16 @@ class Stopwatch {
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
+  /// Seconds since construction or the previous Lap()/Restart(), and
+  /// restarts the watch — one clock read, so back-to-back stages can be
+  /// tallied with one read per stage boundary.
+  double Lap() {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return seconds;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

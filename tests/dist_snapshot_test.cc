@@ -173,7 +173,13 @@ class PreparedSnapshotRejection : public ::testing::Test {
     Engine engine;
     Result<PreparedHandle> prepared = engine.Prepare(BaseSpec());
     ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-    path_ = PathFor("rejection.snapshot");
+    // ctest runs each test of this fixture as its own process, possibly in
+    // parallel: a shared file name would let one SetUp truncate the file
+    // while another test reads it.
+    path_ = PathFor(std::string(::testing::UnitTest::GetInstance()
+                                    ->current_test_info()
+                                    ->name()) +
+                    ".rejection.snapshot");
     ASSERT_TRUE(SavePreparedSnapshot(**prepared, path_).ok());
     bytes_ = ReadFileBytes(path_);
     ASSERT_GT(bytes_.size(), 64u);

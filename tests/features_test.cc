@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gsmb/telemetry.h"
 #include "ml/classifier.h"
 #include "ml/sampler.h"
 #include "test_support.h"
@@ -259,6 +260,116 @@ TEST(FeatureKernel, ScoreEqualsPredictBatchOfCompute) {
             << " threads";
       }
     }
+  }
+}
+
+/// Prefix sums of the per-pivot candidate counts of `prep.pairs` — what the
+/// streaming preparation counts without materialising the pairs.
+std::vector<uint64_t> PivotOffsets(const PreparedDataset& prep) {
+  std::vector<uint64_t> offsets(NumCandidatePivots(*prep.index) + 1, 0);
+  for (const CandidatePair& pair : prep.pairs) ++offsets[pair.left + 1];
+  for (size_t p = 1; p < offsets.size(); ++p) offsets[p] += offsets[p - 1];
+  return offsets;
+}
+
+/// The raw bits of every value, so EXPECT_EQ compares bit for bit.
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    std::memcpy(&bits[i], &values[i], sizeof(double));
+  }
+  return bits;
+}
+
+// ScoreCandidateRange() is the streaming shard fill: it regenerates the
+// pairs of a slice of the global candidate order and scores them in the
+// same pass. Its pairs must be that slice of GenerateCandidatePairs and its
+// probabilities that slice of Score(), bit for bit, wherever the slice
+// starts and ends.
+TEST(FeatureKernel, ScoreCandidateRangeEqualsSliceOfScore) {
+  for (const PreparedDataset* prep : {&gsmb::testing::MediumDataset(),
+                                      &gsmb::testing::SmallDirtyDataset()}) {
+    const std::vector<uint64_t> offsets = PivotOffsets(*prep);
+    const uint64_t n = offsets.back();
+    ASSERT_EQ(n, prep->pairs.size());
+    // A pivot with at least three candidates, past the first few.
+    size_t pivot = 10;
+    while (offsets[pivot + 1] - offsets[pivot] < 3) ++pivot;
+    const uint64_t mid = offsets[pivot] + 1;
+    const std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+        {0, n},                               // everything
+        {mid, mid},                           // empty
+        {mid, mid + 1},                       // one candidate
+        {mid, n / 2},                         // starts mid-pivot
+        {offsets[pivot], mid + 1},            // ends mid-pivot
+        {mid, offsets[pivot + 1]},            // one pivot's tail
+        {n / 3 + 7, 2 * n / 3 + 5}};          // arbitrary cuts
+    FeatureExtractor extractor(*prep->index, prep->pairs);
+    for (const FeatureSet& set :
+         {FeatureSet::BlastOptimal(), FeatureSet::RcnpOptimal(),
+          FeatureSet::Paper2014(), FeatureSet::All()}) {
+      Rng rng(5);
+      const TrainingSet training = SampleBalanced(prep->is_positive, 25, &rng);
+      auto model = MakeClassifier(ClassifierKind::kLogisticRegression);
+      model->Fit(extractor.Compute(set).SelectRows(training.row_indices),
+                 training.labels);
+      const std::vector<double> scored = extractor.Score(set, *model, 1);
+      for (size_t threads : {1, 4}) {
+        for (const auto& [first, end] : ranges) {
+          SCOPED_TRACE(prep->name + " " + set.ToString() + " [" +
+                       std::to_string(first) + ", " + std::to_string(end) +
+                       ") " + std::to_string(threads) + " threads");
+          std::vector<CandidatePair> pairs = {{1, 2}};  // overwritten
+          std::vector<double> probabilities = {0.5};
+          ScoreCandidateRange(*prep->index, offsets, first, end, set, *model,
+                              threads, nullptr, &pairs, &probabilities,
+                              nullptr);
+          EXPECT_EQ(pairs, std::vector<CandidatePair>(
+                               prep->pairs.begin() + first,
+                               prep->pairs.begin() + end));
+          EXPECT_EQ(Bits(probabilities),
+                    Bits(std::vector<double>(scored.begin() + first,
+                                             scored.begin() + end)));
+        }
+      }
+    }
+  }
+}
+
+// The busy tallies the fused-region attribution splits wall time by: the
+// range scorer charges its three stages and nothing else; Score() its two.
+TEST(FeatureKernel, ScorersTallyBusySecondsPerStage) {
+  const PreparedDataset& prep = gsmb::testing::SmallDirtyDataset();
+  const std::vector<uint64_t> offsets = PivotOffsets(prep);
+  const FeatureSet set = FeatureSet::BlastOptimal();
+  FeatureExtractor extractor(*prep.index, prep.pairs);
+  Rng rng(5);
+  const TrainingSet training = SampleBalanced(prep.is_positive, 25, &rng);
+  auto model = MakeClassifier(ClassifierKind::kLogisticRegression);
+  model->Fit(extractor.Compute(set).SelectRows(training.row_indices),
+             training.labels);
+
+  obs::PhaseTimings range_busy;
+  std::vector<CandidatePair> pairs;
+  std::vector<double> probabilities;
+  ScoreCandidateRange(*prep.index, offsets, 0, offsets.back(), set, *model, 4,
+                      nullptr, &pairs, &probabilities, &range_busy);
+  obs::PhaseTimings score_busy;
+  const std::vector<double> scored =
+      extractor.Score(set, *model, 4, nullptr, &score_busy);
+  EXPECT_EQ(Bits(probabilities), Bits(scored));  // tallies change nothing
+
+  for (obs::Phase phase :
+       {obs::Phase::kPairs, obs::Phase::kFeatures, obs::Phase::kClassify}) {
+    EXPECT_GT(range_busy.Get(phase), 0.0) << obs::PhaseName(phase);
+  }
+  EXPECT_EQ(score_busy.Get(obs::Phase::kPairs), 0.0);
+  EXPECT_GT(score_busy.Get(obs::Phase::kFeatures), 0.0);
+  EXPECT_GT(score_busy.Get(obs::Phase::kClassify), 0.0);
+  for (obs::Phase phase :
+       {obs::Phase::kBlocking, obs::Phase::kTrain, obs::Phase::kPrune}) {
+    EXPECT_EQ(range_busy.Get(phase), 0.0);
+    EXPECT_EQ(score_busy.Get(phase), 0.0);
   }
 }
 

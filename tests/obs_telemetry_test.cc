@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "api/json.h"
 #include "gsmb/engine.h"
 #include "gsmb/job_spec.h"
+#include "util/stopwatch.h"
 
 namespace gsmb {
 namespace {
@@ -200,6 +202,91 @@ TEST(Telemetry, MetricsJsonRoundTripsThroughRepoParser) {
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->AsObject().Find("count")->AsU64(), 1u);
   ASSERT_NE(latency->AsObject().Find("p99"), nullptr);
+}
+
+// A fused region's wall time is split over its phases by the workers'
+// busy tallies: the shares follow the tallies and add up to the wall time.
+TEST(FusedPhaseAttribution, SharesFollowTalliesAndSumToWallTime) {
+  obs::PhaseTimings busy;
+  busy.Add(obs::Phase::kPairs, 0.030);
+  busy.Add(obs::Phase::kFeatures, 0.010);
+  busy.Add(obs::Phase::kClassify, 0.020);
+  obs::PhaseTimings timings;
+  timings.Add(obs::Phase::kTrain, 1.0);  // earlier phases stay untouched
+  obs::AttributeFusedRegion(&timings, 1000.0, 7000.0, busy,
+                            obs::Phase::kPairs);
+
+  EXPECT_DOUBLE_EQ(timings.Get(obs::Phase::kPairs), 0.003);
+  EXPECT_DOUBLE_EQ(timings.Get(obs::Phase::kFeatures), 0.001);
+  EXPECT_DOUBLE_EQ(timings.Get(obs::Phase::kClassify), 0.002);
+  EXPECT_EQ(timings.Get(obs::Phase::kTrain), 1.0);
+  EXPECT_EQ(timings.Get(obs::Phase::kBlocking), 0.0);
+  EXPECT_EQ(timings.Get(obs::Phase::kPrune), 0.0);
+  EXPECT_NEAR(timings.Total() - 1.0, 0.006, 1e-15);
+}
+
+TEST(FusedPhaseAttribution, AllZeroTalliesFallBackToOnePhase) {
+  obs::PhaseTimings timings;
+  obs::AttributeFusedRegion(&timings, 50.0, 2050.0, obs::PhaseTimings(),
+                            obs::Phase::kFeatures);
+  EXPECT_DOUBLE_EQ(timings.Get(obs::Phase::kFeatures), 0.002);
+  EXPECT_DOUBLE_EQ(timings.Total(), 0.002);
+}
+
+TEST(FusedPhaseAttribution, SpansOnlyWithASinkLaidEndToEnd) {
+  obs::PhaseTimings busy;
+  busy.Add(obs::Phase::kFeatures, 3.0);
+  busy.Add(obs::Phase::kClassify, 1.0);
+
+  // No sink: the seconds are still attributed, but nothing is recorded.
+  obs::PhaseTimings timings;
+  obs::AttributeFusedRegion(&timings, 0.0, 400.0, busy, obs::Phase::kPairs);
+  EXPECT_DOUBLE_EQ(timings.Total(), 400e-6);
+  {
+    obs::TelemetrySink sink;
+    SinkInstallation install(&sink);
+    EXPECT_TRUE(sink.Spans().empty());
+  }
+
+  obs::TelemetrySink sink;
+  SinkInstallation install(&sink);
+  {
+    GSMB_SPAN("region");
+    obs::AttributeFusedRegion(nullptr, 100.0, 500.0, busy,
+                              obs::Phase::kPairs);
+  }
+  std::map<std::string, obs::SpanEvent> by_name;
+  for (const obs::SpanEvent& span : sink.Spans()) by_name[span.name] = span;
+  ASSERT_EQ(by_name.size(), 3u);
+  ASSERT_EQ(by_name.count("region"), 1u);
+  // The phases in phase order, one level below the enclosing span,
+  // covering [100, 500) without gaps.
+  const obs::SpanEvent& features = by_name["features"];
+  const obs::SpanEvent& classify = by_name["classify"];
+  EXPECT_EQ(features.depth, by_name["region"].depth + 1);
+  EXPECT_DOUBLE_EQ(features.ts_us, 100.0);
+  EXPECT_DOUBLE_EQ(features.dur_us, 300.0);
+  EXPECT_EQ(classify.depth, by_name["region"].depth + 1);
+  EXPECT_DOUBLE_EQ(classify.ts_us, 400.0);
+  EXPECT_DOUBLE_EQ(classify.dur_us, 100.0);
+}
+
+// The RAII form times the region itself: its attributed seconds cannot
+// exceed a clock bracketing it.
+TEST(FusedPhaseAttribution, ScopeAttributesItsOwnWallTime) {
+  obs::PhaseTimings timings;
+  Stopwatch outer;
+  {
+    obs::FusedPhases region(&timings, obs::Phase::kPairs);
+    Stopwatch inner;
+    volatile uint64_t spin = 0;
+    for (int i = 0; i < 100000; ++i) spin = spin + i;
+    region.busy()->Add(obs::Phase::kClassify, inner.ElapsedSeconds());
+  }
+  const double wall = outer.ElapsedSeconds();
+  EXPECT_GT(timings.Get(obs::Phase::kClassify), 0.0);
+  EXPECT_EQ(timings.Get(obs::Phase::kPairs), 0.0);
+  EXPECT_LE(timings.Total(), wall);
 }
 
 TEST(Telemetry, AllThreeBackendsReportTheSamePhaseSet) {

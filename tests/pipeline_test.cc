@@ -191,8 +191,10 @@ TEST(RunMetaBlocking, FusedSweepEqualsPrecomputedMatrix) {
             << label;
         EXPECT_EQ(fused.training_size, reference.training_size) << label;
         EXPECT_GT(fused.retained_indices.size(), 0u) << label;
-        // The fused sweep is timed as features; classify stays 0.
-        EXPECT_EQ(fused.classify_seconds, 0.0) << label;
+        // The fused sweep's wall time is split between features and
+        // classify by the workers' busy tallies: both get a share.
+        EXPECT_GT(fused.feature_seconds, 0.0) << label;
+        EXPECT_GT(fused.classify_seconds, 0.0) << label;
       }
     }
   }

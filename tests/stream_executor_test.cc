@@ -14,9 +14,11 @@
 #include "core/pipeline.h"
 #include "datasets/dirty_generator.h"
 #include "datasets/specs.h"
+#include "gsmb/telemetry.h"
 #include "stream/streaming_dataset.h"
 #include "stream/streaming_executor.h"
 #include "test_support.h"
+#include "util/stopwatch.h"
 
 namespace gsmb {
 namespace {
@@ -220,6 +222,64 @@ TEST(StreamExecutorTest, SweepCountsPerAlgorithmFamily) {
   EXPECT_EQ(sweeps(PruningKind::kBCl), 1u);    // stateless: single pass
   EXPECT_EQ(sweeps(PruningKind::kBlast), 2u);  // aggregate + threshold pass
   EXPECT_EQ(sweeps(PruningKind::kCnp), 1u);    // emits from aggregates
+}
+
+// At one shard the arena filled by sweep 1 is still resident, so the
+// weight-based kinds apply their thresholds to it without a second fill.
+TEST(StreamExecutorTest, OneShardFillsTheArenaOnce) {
+  const PreparedDataset& prep = MediumDataset();
+  const StreamingDataset twin = StreamingTwin(prep);
+  StreamingOptions options;
+  options.num_shards = 1;
+  for (PruningKind kind : {PruningKind::kBlast, PruningKind::kWep,
+                           PruningKind::kWnp, PruningKind::kRwnp}) {
+    const MetaBlockingConfig config = BaseConfig(kind);
+    const StreamingResult stream =
+        StreamingExecutor(twin, options).Run(config);
+    EXPECT_EQ(stream.num_shards_used, 1u);
+    EXPECT_EQ(stream.sweeps, 1u) << PruningKindName(kind);
+    ExpectIdentical(RunMetaBlocking(prep, config), stream, kind, 1, 1);
+  }
+}
+
+// A shard fill interleaves pairs, features and classify inside each
+// worker; the three get attributed shares of the fills' wall time, which
+// with the other phases never exceed the run's own wall time.
+TEST(StreamExecutorTest, FusedFillReportsEveryPhaseWithinWallTime) {
+  const StreamingDataset twin = StreamingTwin(MediumDataset());
+  StreamingOptions options;
+  options.num_shards = 4;
+  MetaBlockingConfig config = BaseConfig(PruningKind::kBlast);
+  config.execution.num_threads = 2;
+  Stopwatch watch;
+  const StreamingResult stream = StreamingExecutor(twin, options).Run(config);
+  const double wall = watch.ElapsedSeconds();
+  ASSERT_EQ(stream.num_shards_used, 4u);
+  EXPECT_GT(stream.generate_seconds, 0.0);
+  EXPECT_GT(stream.feature_seconds, 0.0);
+  EXPECT_GT(stream.classify_seconds, 0.0);
+  EXPECT_GT(stream.train_seconds, 0.0);
+  EXPECT_GT(stream.prune_seconds, 0.0);
+  EXPECT_LE(stream.phases.Total(), wall);
+  EXPECT_DOUBLE_EQ(stream.total_seconds, stream.phases.Total());
+}
+
+// The arena holds a shard's pairs and probabilities only, and the
+// arena.bytes.peak gauge reports those bytes, not the planning model's.
+TEST(StreamExecutorTest, ArenaGaugeReportsTheBytesItHolds) {
+  const StreamingDataset twin = StreamingTwin(MediumDataset());
+  StreamingOptions options;
+  options.num_shards = 4;
+  const MetaBlockingConfig config = BaseConfig(PruningKind::kBlast);
+  obs::TelemetrySink sink;
+  obs::InstallSink(&sink);
+  const StreamingResult stream = StreamingExecutor(twin, options).Run(config);
+  obs::InstallSink(nullptr);
+  const obs::MetricsSnapshot metrics = sink.SnapshotMetrics();
+  ASSERT_EQ(metrics.gauges.count("arena.bytes.peak"), 1u);
+  EXPECT_EQ(metrics.gauges.at("arena.bytes.peak"),
+            static_cast<double>(stream.max_shard_candidates *
+                                (sizeof(CandidatePair) + sizeof(double))));
 }
 
 TEST(StreamExecutorTest, RejectsUnusableOptions) {
