@@ -155,9 +155,10 @@ class Executor {
 
   /// True when ExecutePrepared() is implemented. The Engine then prepares
   /// the spec (through its cache) and calls ExecutePrepared instead of
-  /// Execute — the staged path batch and streaming take. Backends that
-  /// load their own inputs keep the default (serving does: a session
-  /// tokenizes its own ingests, so a blocked preparation is dead weight).
+  /// Execute — the staged path all three standard backends take (serving
+  /// trains its bootstrap model from the prepared handle; its session
+  /// still tokenizes its own ingests). Backends that load their own inputs
+  /// keep the default (the remote backend, custom executors).
   virtual bool AcceptsPrepared() const { return false; }
 
   /// Executes against an already-prepared input (same dataset+blocking as
@@ -226,9 +227,8 @@ class Engine {
   /// match the handle's cache key (rejected otherwise — a spec must never
   /// silently execute against someone else's blocks). Resolves
   /// execution.mode exactly like Run(), including `auto`. A backend that
-  /// does not AcceptsPrepared() (serving, which must tokenize its own
-  /// ingests; custom executors) runs its legacy Execute(spec) path
-  /// instead, loading its own inputs.
+  /// does not AcceptsPrepared() (the remote backend, custom executors)
+  /// runs its Execute(spec) path instead, loading its own inputs.
   Result<JobResult> Execute(const JobSpec& spec,
                             const PreparedInputs& prepared) const;
 

@@ -30,10 +30,12 @@ struct NodeContribution {
 
 // Heap entry for the cardinality algorithms. Ties on probability are broken
 // by pair index, ejecting the *later* pair first, so results are
-// deterministic and independent of heap internals.
+// deterministic and independent of heap internals. The pair rides along so
+// the streaming executor can emit without regenerating it.
 struct HeapEntry {
   double prob;
   uint32_t index;
+  CandidatePair pair;
 };
 
 // Strict total order "a outranks b": higher probability wins, ties go to
@@ -323,7 +325,8 @@ class CepAggregator final : public PruningAggregator {
     for (size_t j = 0; j < chunk.count; ++j) {
       if (Valid(chunk.probabilities[j], ctx_)) {
         local.push_back({chunk.probabilities[j],
-                         static_cast<uint32_t>(chunk.first_index + j)});
+                         static_cast<uint32_t>(chunk.first_index + j),
+                         chunk.pairs[j]});
       }
     }
     KeepTopK(local, k_);
@@ -344,7 +347,8 @@ class CepAggregator final : public PruningAggregator {
     std::vector<RetainedCandidate> retained;
     retained.reserve(queue_.size());
     while (!queue_.empty()) {
-      retained.push_back({queue_.top().index, queue_.top().prob});
+      const HeapEntry& top = queue_.top();
+      retained.push_back({top.index, top.pair, top.prob});
       queue_.pop();
     }
     std::sort(retained.begin(), retained.end(),
@@ -405,12 +409,11 @@ class CnpAggregator final : public PruningAggregator {
     for (size_t j = 0; j < chunk.count; ++j) {
       const double p = chunk.probabilities[j];
       if (!Valid(p, ctx_)) continue;
-      const auto index = static_cast<uint32_t>(chunk.first_index + j);
+      const HeapEntry entry{
+          p, static_cast<uint32_t>(chunk.first_index + j), chunk.pairs[j]};
+      offers.push_back({static_cast<uint32_t>(LeftNode(entry.pair)), entry});
       offers.push_back(
-          {static_cast<uint32_t>(LeftNode(chunk.pairs[j])), {p, index}});
-      offers.push_back(
-          {static_cast<uint32_t>(RightNode(chunk.pairs[j], ctx_)),
-           {p, index}});
+          {static_cast<uint32_t>(RightNode(entry.pair, ctx_)), entry});
     }
     std::sort(offers.begin(), offers.end(),
               [](const NodeOffer& a, const NodeOffer& b) {
@@ -467,7 +470,8 @@ class CnpAggregator final : public PruningAggregator {
         ++end;
       }
       if (end - pos >= required_) {
-        retained.push_back({drained[pos].index, drained[pos].prob});
+        retained.push_back(
+            {drained[pos].index, drained[pos].pair, drained[pos].prob});
       }
       pos = end;
     }

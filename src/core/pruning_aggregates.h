@@ -15,9 +15,13 @@
 //      order. Floating-point addition is not associative, so this fixed fold
 //      order is what makes the batch path, the streaming path, and every
 //      thread/shard count produce bit-identical aggregates.
-//   3. Decide — either a stateless per-pair predicate (weight-based kinds;
-//      needs a second sweep over the candidates) or a drain of the
-//      accumulated top-k structures (cardinality kinds; no second sweep).
+//   3. Decide — either a stateless per-pair predicate (weight-based kinds),
+//      applied after Finalize() to every pair it could keep, or a drain of
+//      the accumulated top-k structures, which carry their pairs
+//      (cardinality kinds). The predicate is false below the validity
+//      threshold, so the streaming path applies it only to the above-floor
+//      pairs it kept from the first sweep; it sweeps the candidates a
+//      second time only when those overflow their memory cap.
 //
 // The batch path materialises all pairs and calls PruneWithAggregator; the
 // streaming path feeds the same aggregator one shard-sized slice of chunks
@@ -49,10 +53,11 @@ struct PairChunkView {
   size_t count = 0;
 };
 
-/// A retained candidate with the probability that retained it, so
-/// cardinality algorithms can emit without re-scoring the pair.
+/// A candidate with its pair and the probability that retained it, so
+/// callers can emit it without regenerating or re-scoring the pair.
 struct RetainedCandidate {
   uint32_t index = 0;
+  CandidatePair pair{};
   double probability = 0.0;
 };
 
@@ -71,9 +76,9 @@ class PruningAggregator {
   /// needed at all.
   virtual bool needs_accumulation() const { return true; }
 
-  /// True for CEP/CNP/RCNP: the retained set is drained from the folded
-  /// top-k structures via TakeRetained(); Keep() is unused and no second
-  /// sweep over the candidates is required.
+  /// True for CEP/CNP/RCNP: the retained set, pairs included, is drained
+  /// from the folded top-k structures via TakeRetained(); Keep() is unused
+  /// and no second pass over the candidates is required.
   virtual bool emits_from_aggregates() const { return false; }
 
   virtual std::unique_ptr<AggregatorScratch> MakeScratch() const {
@@ -95,11 +100,15 @@ class PruningAggregator {
   virtual void Finalize() {}
 
   /// Weight-based decision for candidate `global_index` (valid only after
-  /// Finalize()). Pure and thread-safe.
+  /// Finalize()). Pure and thread-safe. Always false when `probability` is
+  /// below the context's validity_threshold: the streaming executor relies
+  /// on that to apply Keep() to the above-floor pairs of its first sweep
+  /// only, and PruningSweep.AllRetainedAreValid pins it for the batch path.
   virtual bool Keep(size_t global_index, const CandidatePair& pair,
                     double probability) const = 0;
 
-  /// Cardinality kinds: drains the retained set, ascending by index.
+  /// Cardinality kinds: drains the retained set with its pairs, ascending
+  /// by index.
   virtual std::vector<RetainedCandidate> TakeRetained() { return {}; }
 };
 

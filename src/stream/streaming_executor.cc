@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "core/features.h"
@@ -15,9 +17,10 @@ namespace gsmb {
 
 namespace {
 
-/// Resolves global candidate indices to their pairs without the
-/// materialised candidate set: each pivot's neighbour list is regenerated
-/// when the pivot changes, so ascending queries rebuild each pivot once.
+/// Resolves the training sample's candidate indices to their pairs without
+/// the materialised candidate set: each pivot's neighbour list is
+/// regenerated when the pivot changes, so ascending queries rebuild each
+/// pivot once.
 class PairRegenerator {
  public:
   PairRegenerator(const EntityIndex& index,
@@ -41,9 +44,79 @@ class PairRegenerator {
   size_t current_pivot_ = std::numeric_limits<size_t>::max();
 };
 
+/// A weight-based kind's above-floor pairs from sweep 1, one part per shard,
+/// ascending by global index. Every weight-based Keep() is false below the
+/// validity threshold, so emission applies the finalized Keep() to these
+/// instead of filling every shard again. Holds at most `max_entries`
+/// entries, each part allocated once at its exact size; the shard that
+/// would pass that drops the list for good (overflowed()), and emission
+/// falls back to a second fill.
+class SurvivorList {
+ public:
+  explicit SurvivorList(size_t max_entries) : max_entries_(max_entries) {}
+
+  bool overflowed() const { return overflowed_; }
+  const std::vector<std::vector<RetainedCandidate>>& parts() const {
+    return parts_;
+  }
+
+  /// Appends the pairs with P >= `floor` of the shard whose first global
+  /// candidate index is `first_index`: chunks are counted, then copied to
+  /// their offsets in the part, both in parallel.
+  void Append(size_t first_index, const std::vector<CandidatePair>& pairs,
+              const std::vector<double>& probabilities, double floor,
+              size_t num_threads) {
+    if (overflowed_) return;
+    const auto above_floor = [floor](double p) { return p >= floor; };
+    const std::vector<ChunkRange> chunks =
+        DeterministicChunks(probabilities.size());
+    std::vector<size_t> offsets(chunks.size() + 1, 0);
+    ParallelFor(chunks.size(), num_threads, [&](size_t begin, size_t end) {
+      for (size_t c = begin; c < end; ++c) {
+        offsets[c + 1] = static_cast<size_t>(
+            std::count_if(probabilities.begin() + chunks[c].begin,
+                          probabilities.begin() + chunks[c].end, above_floor));
+      }
+    });
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    const size_t count = offsets.back();
+    if (count > max_entries_ - size_) {
+      std::vector<std::vector<RetainedCandidate>>().swap(parts_);
+      overflowed_ = true;
+    } else {
+      std::vector<RetainedCandidate>& part = parts_.emplace_back(count);
+      ParallelFor(chunks.size(), num_threads, [&](size_t begin, size_t end) {
+        for (size_t c = begin; c < end; ++c) {
+          size_t out = offsets[c];
+          for (size_t local = chunks[c].begin; local < chunks[c].end;
+               ++local) {
+            if (above_floor(probabilities[local])) {
+              part[out++] = {static_cast<uint32_t>(first_index + local),
+                             pairs[local], probabilities[local]};
+            }
+          }
+        }
+      });
+      size_ += count;
+    }
+    // The most the list has held: it never grows past an overflow.
+    obs::GaugeMax("survivors.bytes.peak",
+                  static_cast<double>(size_ * sizeof(RetainedCandidate)));
+  }
+
+ private:
+  size_t max_entries_;
+  size_t size_ = 0;
+  std::vector<std::vector<RetainedCandidate>> parts_;
+  bool overflowed_ = false;
+};
+
 }  // namespace
 
 struct StreamingExecutor::ShardArena {
+  static constexpr size_t kBytesPerPair =
+      sizeof(CandidatePair) + sizeof(double);
+
   std::vector<CandidatePair> pairs;
   std::vector<double> probabilities;
 
@@ -186,6 +259,15 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   std::unique_ptr<PruningAggregator> aggregator =
       MakePruningAggregator(config.pruning, chunks.size(), context);
   ShardArena arena;
+  // A weight-based kind spread over several shards keeps its above-floor
+  // pairs for emission, in at most one full arena's bytes. (At one shard
+  // the arena itself stays resident.)
+  std::optional<SurvivorList> survivors;
+  if (aggregator->needs_accumulation() &&
+      !aggregator->emits_from_aggregates() && shards.size() > 1) {
+    survivors.emplace(result.max_shard_candidates * ShardArena::kBytesPerPair /
+                      sizeof(RetainedCandidate));
+  }
 
   // ---- Sweep 1: accumulate per-chunk aggregates, folding after each
   // shard — the identical fold sequence PruneWithAggregator performs. ----
@@ -217,6 +299,11 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
                     }
                   });
       aggregator->FoldChunks(shard.chunk_begin, shard.chunk_end);
+      if (survivors) {
+        survivors->Append(shard.first_index, arena.pairs, arena.probabilities,
+                          context.validity_threshold,
+                          config.execution.num_threads);
+      }
     }
     {
       obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
@@ -238,22 +325,30 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   };
 
   if (aggregator->emits_from_aggregates()) {
-    // Cardinality kinds: the folded top-k structures already hold the
-    // retained indices and weights; only their pairs are regenerated.
+    // Cardinality kinds: the folded top-k structures hold the retained
+    // candidates, pairs included.
     obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
-    const std::vector<RetainedCandidate> retained =
-        aggregator->TakeRetained();
-    PairRegenerator regenerate(index, dataset_.pivot_offsets);
-    for (const RetainedCandidate& candidate : retained) {
-      emit(candidate.index, regenerate.At(candidate.index),
-           candidate.probability);
+    for (const RetainedCandidate& c : aggregator->TakeRetained()) {
+      emit(c.index, c.pair, c.probability);
+    }
+  } else if (survivors && !survivors->overflowed()) {
+    // Weight-based kinds: the finalized thresholds apply to sweep 1's
+    // above-floor pairs, which are every pair Keep() can accept.
+    obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
+    for (const std::vector<RetainedCandidate>& part : survivors->parts()) {
+      for (const RetainedCandidate& c : part) {
+        if (aggregator->Keep(c.index, c.pair, c.probability)) {
+          emit(c.index, c.pair, c.probability);
+        }
+      }
     }
   } else {
-    // Weight-based kinds: a second sweep re-scores each shard and applies
-    // the finalized thresholds; per-chunk keeps merge in chunk order, so
-    // emission is ascending and equals the batch ChunkedRetain exactly. A
-    // single shard filled by sweep 1 is still resident: the thresholds
-    // apply to it as it is, and no second fill is needed.
+    // BCl's only sweep, or the weight-based kinds' second sweep when their
+    // survivors overflowed: fill each shard and apply Keep(); per-chunk
+    // keeps merge in chunk order, so emission is ascending and equals the
+    // batch ChunkedRetain exactly. A single shard filled by sweep 1 is
+    // still resident: the thresholds apply to it as it is, and no second
+    // fill is needed.
     const bool resident =
         shards.size() == 1 && aggregator->needs_accumulation();
     if (!resident) ++result.sweeps;

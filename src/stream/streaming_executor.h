@@ -19,12 +19,16 @@
 // attributed shares of the fill's wall time (obs::AttributeFusedRegion).
 //
 // Pruning algorithms that need global per-entity state (WEP's mean, WNP's
-// and BLAST's per-node aggregates) take a second sweep that re-scores each
-// shard and applies the finalized thresholds — except at one shard, whose
-// arena is still resident after the first sweep; BCl needs one sweep and
-// the cardinality kinds (CEP/CNP/RCNP) emit straight from their folded
-// top-k structures. Peak memory is O(largest shard + |E| + aggregates),
-// never O(|C|).
+// and BLAST's per-node aggregates) can only decide after the last fold.
+// Their Keep() is false below the validity threshold, so sweep 1 also keeps
+// each shard's above-floor pairs in a survivor list, and emission applies
+// the finalized thresholds to it (at one shard the arena itself is still
+// resident). The survivor list is capped at one full arena's bytes; when it
+// overflows (always, for a validity threshold <= 0) it is dropped and a
+// second sweep re-scores each shard instead. BCl needs one sweep, and the
+// cardinality kinds (CEP/CNP/RCNP) emit straight from their folded top-k
+// structures, whose entries carry their pairs. Peak memory is O(largest
+// shard + |E| + aggregates), never O(|C|).
 //
 // Bit-identity. The retained set equals RunMetaBlocking's for EVERY shard
 // count and thread count, by construction rather than by luck:
@@ -69,8 +73,11 @@ namespace gsmb {
 ///
 /// An upper bound: it counts a feature row (8·d bytes) per pair that the
 /// arena does not hold — the arena holds only the pair and its
-/// probability (24 bytes). Shrinking the model would move `auto`'s choice
-/// and the shard counts of budgeted runs: the 20,531-candidate fixture of
+/// probability (16 bytes). The model also covers the weight-based kinds'
+/// survivor list, which is capped at one full arena's bytes: arena and
+/// survivors together hold at most 32 bytes per pair, within 24 + 8·d for
+/// every d >= 1. Shrinking the model would move `auto`'s choice and the
+/// shard counts of budgeted runs: the 20,531-candidate fixture of
 /// EngineAuto.TinyBudgetResolvesToStreamingWithSameAnswer needs 1.15 MB at
 /// 56 B/pair but 0.49 MB at 24 B/pair against its 1 MiB budget, so it
 /// would resolve to batch. That change deserves its own measurement.
@@ -117,8 +124,10 @@ struct StreamingResult {
   // Execution shape, for benches and diagnostics.
   size_t num_shards_used = 0;
   size_t max_shard_candidates = 0;  ///< arena high-water mark, in pairs
-  /// Passes over the candidate space that fill the arena; a single-shard
-  /// second pass over the resident arena does not count.
+  /// Passes over the candidate space that fill the arena: 1 for every kind,
+  /// or 2 for a weight-based kind whose above-floor survivors overflowed
+  /// their cap at more than one shard (e.g. validity_threshold <= 0), which
+  /// re-scores each shard to apply its thresholds.
   size_t sweeps = 0;
 };
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -186,12 +187,18 @@ TEST(StreamExecutorTest, MemoryBudgetDerivesShardCountAndBoundsArena) {
   ExpectIdentical(batch, stream, config.pruning, stream.num_shards_used, 1);
 }
 
+// Every kind at several shards: the cardinality kinds emit from their heap
+// entries and the weight-based kinds from sweep 1's survivors, so each
+// emitted pair and probability must equal the batch path's at that index.
 TEST(StreamExecutorTest, SinkReceivesRetainedAscendingWithPairs) {
   const PreparedDataset& prep = MediumDataset();
   const StreamingDataset twin = StreamingTwin(prep);
-  // One weight-based and one cardinality kind: the two emission paths.
-  for (PruningKind kind : {PruningKind::kWnp, PruningKind::kCep}) {
+  for (PruningKind kind : AllPruningKinds()) {
+    SCOPED_TRACE(PruningKindName(kind));
     MetaBlockingConfig config = BaseConfig(kind);
+    config.keep_probabilities = true;
+    const MetaBlockingResult batch = RunMetaBlocking(prep, config);
+    ASSERT_EQ(batch.probabilities.size(), prep.pairs.size());
     StreamingOptions options;
     options.num_shards = 4;
     std::vector<uint32_t> seen;
@@ -203,25 +210,28 @@ TEST(StreamExecutorTest, SinkReceivesRetainedAscendingWithPairs) {
           }
           seen.push_back(index);
           EXPECT_EQ(prep.pairs[index], pair);
+          EXPECT_EQ(batch.probabilities[index], probability);
           EXPECT_GE(probability, 0.5);  // default validity threshold
         });
     EXPECT_EQ(seen.size(), stream.metrics.retained);
     EXPECT_EQ(seen, stream.retained_indices);
+    EXPECT_EQ(batch.retained_indices, stream.retained_indices);
   }
 }
 
+// Above the validity floor every kind fills each shard once: the
+// weight-based kinds emit from sweep 1's survivors, the cardinality kinds
+// from their folded top-k structures.
 TEST(StreamExecutorTest, SweepCountsPerAlgorithmFamily) {
   const StreamingDataset twin = StreamingTwin(MediumDataset());
   StreamingOptions options;
   options.num_shards = 4;
-  auto sweeps = [&](PruningKind kind) {
-    return StreamingExecutor(twin, options)
-        .Run(BaseConfig(kind))
-        .sweeps;
-  };
-  EXPECT_EQ(sweeps(PruningKind::kBCl), 1u);    // stateless: single pass
-  EXPECT_EQ(sweeps(PruningKind::kBlast), 2u);  // aggregate + threshold pass
-  EXPECT_EQ(sweeps(PruningKind::kCnp), 1u);    // emits from aggregates
+  for (PruningKind kind : AllPruningKinds()) {
+    const StreamingResult stream =
+        StreamingExecutor(twin, options).Run(BaseConfig(kind));
+    EXPECT_EQ(stream.num_shards_used, 4u);
+    EXPECT_EQ(stream.sweeps, 1u) << PruningKindName(kind);
+  }
 }
 
 // At one shard the arena filled by sweep 1 is still resident, so the
@@ -280,6 +290,71 @@ TEST(StreamExecutorTest, ArenaGaugeReportsTheBytesItHolds) {
   EXPECT_EQ(metrics.gauges.at("arena.bytes.peak"),
             static_cast<double>(stream.max_shard_candidates *
                                 (sizeof(CandidatePair) + sizeof(double))));
+}
+
+// Weight-based kinds keep sweep 1's pairs at or above the floor in at most
+// one full arena's bytes (16 of the 24 bytes a survivor takes). At the
+// default floor, or at a floor equal to the probability of the weakest pair
+// BLAST retains (which BLAST must still retain), they fit and each shard is
+// filled once. A floor that lets through half as many pairs again as the
+// cap overflows after some shards have survived; no floor overflows at the
+// first shard, so the list never holds any. Either overflow drops the list
+// and fills each shard a second time, still matching the batch path.
+TEST(StreamExecutorTest, SurvivorsFitOneArenaOrFallBackToASecondFill) {
+  const PreparedDataset& prep = MediumDataset();
+  const StreamingDataset twin = StreamingTwin(prep);
+  StreamingOptions options;
+  options.num_shards = 4;
+  MetaBlockingConfig probe = BaseConfig(PruningKind::kBlast);
+  probe.keep_probabilities = true;
+  const MetaBlockingResult probed = RunMetaBlocking(prep, probe);
+  ASSERT_FALSE(probed.retained_indices.empty());
+  double weakest_kept = 1.0;
+  for (uint32_t index : probed.retained_indices) {
+    weakest_kept = std::min(weakest_kept, probed.probabilities[index]);
+  }
+  std::vector<double> descending = probed.probabilities;
+  std::sort(descending.begin(), descending.end(), std::greater<>());
+  const size_t cap = StreamingExecutor(twin, options)
+                         .Run(probe)
+                         .max_shard_candidates *
+                     16 / 24;
+  ASSERT_LT(cap + cap / 2, descending.size());
+  const double mid_run_floor = descending[cap + cap / 2];
+  ASSERT_GT(mid_run_floor, 0.0);
+
+  const struct {
+    double floor;
+    size_t sweeps;
+  } cases[] = {{0.5, 1}, {weakest_kept, 1}, {mid_run_floor, 2}, {0.0, 2}};
+  for (const auto& [floor, sweeps] : cases) {
+    for (PruningKind kind : {PruningKind::kWep, PruningKind::kWnp,
+                             PruningKind::kRwnp, PruningKind::kBlast}) {
+      MetaBlockingConfig config = BaseConfig(kind);
+      config.validity_threshold = floor;
+      const MetaBlockingResult batch = RunMetaBlocking(prep, config);
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE("floor=" + std::to_string(floor));
+        MetaBlockingConfig stream_config = config;
+        stream_config.execution.num_threads = threads;
+        obs::TelemetrySink sink;
+        obs::InstallSink(&sink);
+        const StreamingResult stream =
+            StreamingExecutor(twin, options).Run(stream_config);
+        obs::InstallSink(nullptr);
+        const obs::MetricsSnapshot metrics = sink.SnapshotMetrics();
+        ASSERT_EQ(metrics.gauges.count("arena.bytes.peak"), 1u);
+        ASSERT_EQ(metrics.gauges.count("survivors.bytes.peak"), 1u);
+        const double survivor_bytes =
+            metrics.gauges.at("survivors.bytes.peak");
+        EXPECT_LE(survivor_bytes, metrics.gauges.at("arena.bytes.peak"));
+        EXPECT_EQ(survivor_bytes > 0.0, floor > 0.0);
+        EXPECT_EQ(stream.num_shards_used, 4u);
+        EXPECT_EQ(stream.sweeps, sweeps);
+        ExpectIdentical(batch, stream, kind, 4, threads);
+      }
+    }
+  }
 }
 
 TEST(StreamExecutorTest, RejectsUnusableOptions) {
