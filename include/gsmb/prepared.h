@@ -66,10 +66,9 @@ std::string PrepareCacheKey(const JobSpec& spec);
 class PreparedInputs {
  public:
   /// The O(|C|) arrays only the batch pipeline needs: the materialised
-  /// candidate set and its ground-truth labels.
+  /// candidate set. (Its labels are stream.positive_indices.)
   struct BatchArrays {
     std::vector<CandidatePair> pairs;
-    std::vector<uint8_t> is_positive;  // per candidate pair
     /// One-off cost of materialising these arrays, seconds.
     double materialize_seconds = 0.0;
   };
@@ -102,7 +101,7 @@ class PreparedInputs {
   uint64_t num_candidates() const { return stream.num_candidates(); }
 
   /// Lazily materialises (at most once per handle, thread-safe) and returns
-  /// the batch arrays. Streaming-only users never pay this.
+  /// the batch arrays. Streaming and serving never call it.
   const BatchArrays& Batch(size_t num_threads) const;
 
   /// True once Batch() has materialised the O(|C|) arrays.

@@ -54,7 +54,7 @@ Result<JobResult> RunBatchOn(const JobSpec& spec,
   ref.index = prepared.stream.index.get();
   ref.stats = &prepared.stream.stats;
   ref.pairs = &batch.pairs;
-  ref.is_positive = &batch.is_positive;
+  ref.positive_indices = &prepared.stream.positive_indices;
   ref.num_ground_truth = prepared.stream.ground_truth.size();
 
   MetaBlockingResult run = RunMetaBlocking(ref, config);

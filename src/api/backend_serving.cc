@@ -1,9 +1,10 @@
 // The serving backend: a cold-built MetaBlockingSession behind the Executor
-// interface. One-shot Run() trains the spec's classifier from the shared
-// prepared handle (same preparation and sample replay as the batch
-// backend, without re-blocking inside the trainer), folds it into the
-// raw-space serving model, ingests the collection, refreshes every shard
-// and reports the session's retained set.
+// interface. One-shot Run() trains the spec's classifier on the shared
+// prepared handle's counting preparation (the streaming executor's
+// trainer: the balanced sample, its pairs regenerated, their rows, the
+// fit), folds it into the raw-space serving model, ingests the
+// collection, refreshes every shard and reports the session's retained
+// set.
 //
 // Supports() narrows the spec to what a shard-pure session can honour:
 // Dirty ER (a session holds ONE resident collection), token blocking (the
@@ -21,6 +22,7 @@
 #include "api/backends.h"
 #include "gsmb/digest.h"
 #include "gsmb/log.h"
+#include "gsmb/telemetry.h"
 #include "serve/serving_model.h"
 
 namespace gsmb::api {
@@ -57,10 +59,10 @@ class ServingBackend : public Executor {
     return Status::Ok();
   }
 
-  // The staged path: the handle's blocked, labelled candidate view feeds
-  // model training directly (TrainServingModelFromPrepared), so a cold
-  // build no longer re-blocks inside the trainer — and a cached handle
-  // makes repeat cold builds skip preparation entirely. The session still
+  // The staged path: model training reads the handle's counting
+  // preparation (TrainServingModelFromPrepared), so a cold build neither
+  // re-blocks nor materialises the candidate set, and a cached handle lets
+  // repeat cold builds skip preparation entirely. The session still
   // tokenizes its own ingests; only the bootstrap training reuses the
   // preparation.
   bool AcceptsPrepared() const override { return true; }
@@ -86,8 +88,8 @@ Result<JobResult> RunServingOn(const JobSpec& spec,
   size_t training_size = 0;
   obs::PhaseTimings phases;
   Result<MetaBlockingSession> session =
-      BuildServingSession(spec, inputs, /*cold_build_universe=*/true,
-                          &training_size, &phases, &prepared);
+      BuildServingSession(spec, prepared, /*cold_build_universe=*/true,
+                          &training_size, &phases);
   if (!session.ok()) return session.status();
 
   JobResult result;
@@ -105,6 +107,8 @@ Result<JobResult> RunServingOn(const JobSpec& spec,
                                      inputs.ground_truth.size());
 
   const SessionStats stats = session->Stats();
+  obs::CounterAdd("pairs.generated", stats.num_candidates);
+  obs::CounterAdd("pairs.retained", retained.size());
   result.num_blocks = stats.num_blocks;
   result.num_candidates = stats.num_candidates;
   result.shards_used = stats.num_shards;
@@ -116,7 +120,7 @@ Result<JobResult> RunServingOn(const JobSpec& spec,
 
   // Provenance: the cold build trains from the prepared handle, so it
   // carries the handle's fingerprint and digest exactly like batch and
-  // streaming — report diff compares all three backends on equal terms.
+  // streaming: report diff compares all three backends on equal terms.
   result.dataset_fingerprint = prepared.dataset_fingerprint;
   result.prepared_digest = prepared.prepared_digest;
   obs::PairSetDigest digest;
@@ -155,42 +159,24 @@ Result<JobResult> RunServingOn(const JobSpec& spec,
 }
 
 Result<MetaBlockingSession> BuildServingSession(const JobSpec& spec,
-                                                const JobInputs& inputs,
+                                                const PreparedInputs& prepared,
                                                 bool cold_build_universe,
                                                 size_t* training_size,
-                                                obs::PhaseTimings* phases,
-                                                const PreparedInputs* prepared) {
-  // Train exactly like the batch backend trains: same blocking options,
-  // same balanced-sample seed, same classifier. The trainer folds the
-  // standardisation into raw-space weights, the one representation a
-  // snapshot can carry. With a prepared handle the trainer consumes its
-  // blocked, labelled candidate view (the same arrays batch executes
-  // against) instead of re-blocking the collection itself.
+                                                obs::PhaseTimings* phases) {
+  // Train exactly like the batch backend trains: the same trainer over the
+  // same preparation, sample seed and classifier, on the sampled pairs
+  // alone. The serving model folds the standardisation into raw-space
+  // weights, the one representation a snapshot can carry.
+  const JobInputs& inputs = prepared.inputs;
   ServingModelTraining training;
   training.classifier = spec.classifier;
   training.train_per_class = spec.training.labels_per_class;
   training.seed = spec.training.seed;
-  training.blocking = BlockingOptionsFromSpec(spec);
   training.execution = ResolvedExecution(spec);
   obs::PhaseTimings build_phases;
-  ServingModel model = [&] {
-    obs::ScopedPhase phase(&build_phases, obs::Phase::kTrain);
-    if (prepared != nullptr) {
-      const PreparedInputs::BatchArrays& batch =
-          prepared->Batch(ResolvedExecution(spec).num_threads);
-      PreparedRef ref;
-      ref.name = &prepared->stream.name;
-      ref.index = prepared->stream.index.get();
-      ref.stats = &prepared->stream.stats;
-      ref.pairs = &batch.pairs;
-      ref.is_positive = &batch.is_positive;
-      ref.num_ground_truth = prepared->stream.ground_truth.size();
-      return TrainServingModelFromPrepared(ref, spec.features, training,
-                                           training_size);
-    }
-    return TrainServingModel(inputs.e1, inputs.ground_truth, spec.features,
-                             training, training_size);
-  }();
+  ServingModel model =
+      TrainServingModelFromPrepared(prepared.stream, spec.features, training,
+                                    training_size, &build_phases);
 
   SessionOptions options;
   options.num_shards = spec.execution.shards;

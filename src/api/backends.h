@@ -76,8 +76,9 @@ void ApplyPhaseTimings(const obs::PhaseTimings& phases,
 // The ExecutePrepared() bodies: per-configuration execution against a
 // shared preparation. The batch path materialises the handle's lazy O(|C|)
 // arrays on first use; the streaming path runs straight off the counting
-// preparation; the serving path trains its resident model from the
-// handle's batch arrays (the session still tokenizes its own ingests).
+// preparation; the serving path trains its resident model on the counting
+// preparation too, from the sampled pairs alone (the session still
+// tokenizes its own ingests).
 
 Result<JobResult> RunBatchOn(const JobSpec& spec,
                              const PreparedInputs& prepared);
@@ -90,20 +91,22 @@ std::unique_ptr<Executor> MakeBatchBackend();
 std::unique_ptr<Executor> MakeStreamingBackend();
 std::unique_ptr<Executor> MakeServingBackend();
 
-/// The serving backend's Supports() logic plus session construction,
-/// shared with Engine::OpenSession. `cold_build_universe` pins the CNP
-/// entity universe to the profile count (one-shot Run; batch parity);
-/// OpenSession leaves it unset for PR2's incremental present-entity
-/// semantics. `training_size` (optional) receives the balanced training
-/// sample's actual size; `phases` (optional) receives the cold build's
-/// phase breakdown — kTrain for the model fit plus the session's
-/// accumulated refresh phases. `prepared` (optional) is an existing
-/// preparation of the SAME spec: when given, model training consumes its
-/// batch arrays instead of re-blocking (inputs must be prepared->inputs).
+/// The serving backend's session construction, shared with
+/// Engine::OpenSession: trains the resident model on `prepared` (a
+/// preparation of the SAME spec) with the batch and streaming paths'
+/// trainer, then ingests prepared.inputs and refreshes every shard.
+/// Training reads the counting preparation and the sampled pairs only,
+/// never the batch arrays. `cold_build_universe` pins the CNP entity
+/// universe to the profile count (one-shot Run; batch parity); OpenSession
+/// leaves it unset for the incremental present-entity semantics.
+/// `training_size` (optional) receives the balanced training sample's
+/// actual size; `phases` (optional) receives the cold build's phase
+/// breakdown: kTrain for sample + rows + fit plus the session's
+/// accumulated refresh phases.
 Result<MetaBlockingSession> BuildServingSession(
-    const JobSpec& spec, const JobInputs& inputs, bool cold_build_universe,
-    size_t* training_size = nullptr, obs::PhaseTimings* phases = nullptr,
-    const PreparedInputs* prepared = nullptr);
+    const JobSpec& spec, const PreparedInputs& prepared,
+    bool cold_build_universe, size_t* training_size = nullptr,
+    obs::PhaseTimings* phases = nullptr);
 
 }  // namespace gsmb::api
 

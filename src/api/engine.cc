@@ -601,15 +601,13 @@ Result<MetaBlockingSession> Engine::OpenSession(const JobSpec& spec) const {
   Status supported = serving->Supports(spec);
   if (!supported.ok()) return supported;
   try {
-    // Prepare through the cache: the session's bootstrap training consumes
-    // the handle's batch arrays, and a later Run() of the same spec reuses
-    // the same preparation.
+    // Prepare through the cache: the session's bootstrap training samples
+    // the handle's counting preparation, and a later Run() of the same
+    // spec reuses the same preparation.
     Result<PreparedHandle> prepared = Prepare(spec);
     if (!prepared.ok()) return prepared.status();
-    return api::BuildServingSession(spec, (*prepared)->inputs,
-                                    /*cold_build_universe=*/false,
-                                    /*training_size=*/nullptr,
-                                    /*phases=*/nullptr, (*prepared).get());
+    return api::BuildServingSession(spec, **prepared,
+                                    /*cold_build_universe=*/false);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("OpenSession failed: ") + e.what());
   }

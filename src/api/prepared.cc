@@ -19,13 +19,6 @@ const PreparedInputs::BatchArrays& PreparedInputs::Batch(
     GSMB_SPAN("pairs");
     Stopwatch watch;
     batch_.pairs = GenerateCandidatePairs(*stream.index, num_threads);
-    batch_.is_positive.resize(batch_.pairs.size());
-    for (size_t i = 0; i < batch_.pairs.size(); ++i) {
-      batch_.is_positive[i] = stream.ground_truth.IsMatch(
-                                  batch_.pairs[i].left, batch_.pairs[i].right)
-                                  ? 1
-                                  : 0;
-    }
     batch_.materialize_seconds = watch.ElapsedSeconds();
     batch_ready_.store(true, std::memory_order_release);
   });
@@ -80,8 +73,7 @@ size_t PreparedInputs::ApproxBytes() const {
   bytes += stream.pivot_offsets.size() * sizeof(uint64_t);
   bytes += stream.positive_indices.size() * sizeof(uint64_t);
   if (batch_materialized()) {
-    bytes += batch_.pairs.size() * sizeof(CandidatePair) +
-             batch_.is_positive.size();
+    bytes += batch_.pairs.size() * sizeof(CandidatePair);
   }
   return bytes;
 }

@@ -9,6 +9,7 @@
 #define GSMB_BLOCKING_CANDIDATE_PAIRS_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "blocking/entity_index.h"
@@ -67,6 +68,36 @@ class PivotNeighbourGenerator {
   const EntityIndex& index_;
   std::vector<uint32_t> last_seen_;
   uint32_t epoch_ = 0;
+};
+
+/// Resolves candidate indices to their pairs without the materialised
+/// candidate set: a pivot's neighbour list is regenerated when the pivot
+/// changes, so ascending queries (a training sample's, in the order
+/// SampledFeatureRows asks for them) rebuild each pivot once.
+class PairRegenerator {
+ public:
+  /// `pivot_offsets` as PivotOfCandidate takes them; both it and `index`
+  /// must outlive the regenerator.
+  PairRegenerator(const EntityIndex& index,
+                  const std::vector<uint64_t>& pivot_offsets)
+      : pivot_offsets_(pivot_offsets), generator_(index) {}
+
+  /// The pair at global candidate index `index` (below the total).
+  CandidatePair At(uint64_t index) {
+    const size_t pivot = PivotOfCandidate(pivot_offsets_, index);
+    if (pivot != current_pivot_) {
+      generator_.Generate(pivot, &neighbours_);
+      current_pivot_ = pivot;
+    }
+    return {static_cast<EntityId>(pivot),
+            neighbours_[index - pivot_offsets_[pivot]]};
+  }
+
+ private:
+  const std::vector<uint64_t>& pivot_offsets_;
+  PivotNeighbourGenerator generator_;
+  std::vector<EntityId> neighbours_;
+  size_t current_pivot_ = std::numeric_limits<size_t>::max();
 };
 
 /// Number of candidate pairs that are matches according to `gt`.

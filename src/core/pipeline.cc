@@ -1,5 +1,6 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
 #include <functional>
 #include <stdexcept>
 #include <utility>
@@ -31,10 +32,10 @@ PreparedDataset FinishPreparation(const std::string& name,
       EvaluateBlockingQuality(prep.pairs, prep.ground_truth);
   prep.is_positive.resize(prep.pairs.size());
   for (size_t i = 0; i < prep.pairs.size(); ++i) {
-    prep.is_positive[i] =
-        prep.ground_truth.IsMatch(prep.pairs[i].left, prep.pairs[i].right)
-            ? 1
-            : 0;
+    if (prep.ground_truth.IsMatch(prep.pairs[i].left, prep.pairs[i].right)) {
+      prep.is_positive[i] = 1;
+      prep.positive_indices.push_back(i);
+    }
   }
   return prep;
 }
@@ -121,7 +122,7 @@ PreparedRef RefOf(const PreparedDataset& dataset) {
   ref.index = dataset.index.get();
   ref.stats = &dataset.stats;
   ref.pairs = &dataset.pairs;
-  ref.is_positive = &dataset.is_positive;
+  ref.positive_indices = &dataset.positive_indices;
   ref.num_ground_truth = dataset.ground_truth.size();
   return ref;
 }
@@ -131,35 +132,33 @@ MetaBlockingResult RunMetaBlocking(const PreparedDataset& dataset,
   return RunMetaBlocking(RefOf(dataset), config);
 }
 
-namespace {
-
-/// Training, shared by both entry points: the balanced sample, its feature
-/// rows in sample order from `rows_of`, and the fitted classifier.
-std::unique_ptr<ProbabilisticClassifier> Train(
-    const PreparedRef& prepared, const MetaBlockingConfig& config,
-    const std::function<Matrix(const TrainingSet&)>& rows_of,
-    MetaBlockingResult* result) {
-  obs::ScopedPhase phase(&result->phases, obs::Phase::kTrain);
+TrainedClassifier TrainClassifier(
+    const std::vector<uint64_t>& positive_indices, uint64_t num_candidates,
+    const MetaBlockingConfig& config, const SampleRows& rows_of,
+    const std::string& dataset_name, obs::PhaseTimings* phases) {
+  obs::ScopedPhase phase(phases, obs::Phase::kTrain);
   Rng rng(config.seed);
-  TrainingSet training =
-      SampleBalanced(*prepared.is_positive, config.train_per_class, &rng);
+  const TrainingSet training = SampleBalanced(
+      positive_indices, num_candidates, config.train_per_class, &rng);
   if (training.size() < 2) {
     throw std::runtime_error(
-        "RunMetaBlocking: not enough labelled pairs to train (dataset '" +
-        *prepared.name + "')");
+        "not enough labelled pairs to train (dataset '" + dataset_name +
+        "')");
   }
-  std::unique_ptr<ProbabilisticClassifier> model =
-      MakeClassifier(config.classifier, config.seed);
-  model->Fit(rows_of(training), training.labels);
-  result->training_size = training.size();
-  result->model_coefficients = model->CoefficientsWithIntercept();
-  return model;
+  TrainedClassifier trained;
+  trained.model = MakeClassifier(config.classifier, config.seed);
+  trained.model->Fit(rows_of(training.row_indices), training.labels);
+  trained.training_size = training.size();
+  return trained;
 }
 
+namespace {
+
 /// The shared tail: prune the scored candidates, evaluate, and fill the
-/// result's timings and optional outputs.
+/// result's model record, timings and optional outputs.
 MetaBlockingResult PruneAndEvaluate(const PreparedRef& prepared,
                                     const MetaBlockingConfig& config,
+                                    const TrainedClassifier& trained,
                                     std::vector<double> probabilities,
                                     MetaBlockingResult result) {
   const std::vector<CandidatePair>& pairs = *prepared.pairs;
@@ -175,6 +174,8 @@ MetaBlockingResult PruneAndEvaluate(const PreparedRef& prepared,
                    ->Prune(pairs, probabilities, context);
   }
 
+  result.training_size = trained.training_size;
+  result.model_coefficients = trained.model->CoefficientsWithIntercept();
   result.feature_seconds = result.phases.Get(obs::Phase::kFeatures);
   result.train_seconds = result.phases.Get(obs::Phase::kTrain);
   result.classify_seconds = result.phases.Get(obs::Phase::kClassify);
@@ -183,8 +184,14 @@ MetaBlockingResult PruneAndEvaluate(const PreparedRef& prepared,
                          result.classify_seconds + result.prune_seconds;
   obs::CounterAdd("pairs.generated", pairs.size());
   obs::CounterAdd("pairs.retained", retained.size());
-  result.metrics = EvaluateRetained(retained, *prepared.is_positive,
-                                    prepared.num_ground_truth);
+  const std::vector<uint64_t>& positives = *prepared.positive_indices;
+  size_t true_positives = 0;
+  for (uint32_t idx : retained) {
+    true_positives += std::binary_search(positives.begin(), positives.end(),
+                                         uint64_t{idx});
+  }
+  result.metrics = MetricsFromCounts(true_positives, retained.size(),
+                                     prepared.num_ground_truth);
   if (config.keep_probabilities) result.probabilities = std::move(probabilities);
   if (config.keep_retained) result.retained_indices = std::move(retained);
   return result;
@@ -209,14 +216,14 @@ MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
   }
 
   // Train on feature rows of the sampled pairs only.
-  const std::unique_ptr<ProbabilisticClassifier> model = Train(
-      prepared, config,
-      [&](const TrainingSet& training) {
+  const TrainedClassifier trained = TrainClassifier(
+      *prepared.positive_indices, pairs.size(), config,
+      [&](const std::vector<size_t>& rows) {
         return SampledFeatureRows(
-            *prepared.index, config.features, training.row_indices,
+            *prepared.index, config.features, rows,
             [&](size_t row) { return pairs[row]; }, threads, lcp_ptr);
       },
-      &result);
+      *prepared.name, &result.phases);
 
   // The fused sweep: every candidate's feature row is scored while it is
   // still in cache, so no |C|×d matrix exists. Features and classify
@@ -225,10 +232,10 @@ MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
   std::vector<double> probabilities;
   {
     obs::FusedPhases phases(&result.phases, obs::Phase::kFeatures);
-    probabilities = extractor.Score(config.features, *model, threads, lcp_ptr,
-                                    phases.busy());
+    probabilities = extractor.Score(config.features, *trained.model, threads,
+                                    lcp_ptr, phases.busy());
   }
-  return PruneAndEvaluate(prepared, config, std::move(probabilities),
+  return PruneAndEvaluate(prepared, config, trained, std::move(probabilities),
                           std::move(result));
 }
 
@@ -253,19 +260,20 @@ MetaBlockingResult RunMetaBlockingWithFeatures(
 
   MetaBlockingResult result;
   result.phases.Add(obs::Phase::kFeatures, feature_seconds_hint);
-  const std::unique_ptr<ProbabilisticClassifier> model = Train(
-      prepared, config,
-      [&](const TrainingSet& training) {
-        return features.SelectRows(training.row_indices);
+  const TrainedClassifier trained = TrainClassifier(
+      *prepared.positive_indices, prepared.pairs->size(), config,
+      [&](const std::vector<size_t>& rows) {
+        return features.SelectRows(rows);
       },
-      &result);
+      *prepared.name, &result.phases);
 
   std::vector<double> probabilities;
   {
     obs::ScopedPhase phase(&result.phases, obs::Phase::kClassify);
-    probabilities = model->PredictBatch(features, config.execution.num_threads);
+    probabilities =
+        trained.model->PredictBatch(features, config.execution.num_threads);
   }
-  return PruneAndEvaluate(prepared, config, std::move(probabilities),
+  return PruneAndEvaluate(prepared, config, trained, std::move(probabilities),
                           std::move(result));
 }
 

@@ -4,15 +4,16 @@
 // Section 5.1: Token Blocking -> Block Purging -> Block Filtering (0.8) ->
 // candidate-pair generation, and records the blocking-quality numbers of
 // Table 2. RunMetaBlocking() then executes one experiment configuration:
-// sample a balanced training set, extract the feature rows of the sampled
-// pairs only, train the probabilistic classifier, weight all candidate
-// pairs in one fused feature+classify sweep, prune, and evaluate —
+// train the probabilistic classifier on a balanced sample
+// (TrainClassifier, the trainer every backend shares), weight all
+// candidate pairs in one fused feature+classify sweep, prune, and evaluate —
 // reporting the paper's measures (recall, precision, F1) and the run-time
 // breakdown that makes up RT.
 
 #ifndef GSMB_CORE_PIPELINE_H_
 #define GSMB_CORE_PIPELINE_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,6 +61,8 @@ struct PreparedDataset {
   std::unique_ptr<EntityIndex> index;
   std::vector<CandidatePair> pairs;
   std::vector<uint8_t> is_positive;  // per candidate pair
+  /// Ascending indices of the positive pairs.
+  std::vector<uint64_t> positive_indices;
   BlockCollectionStats stats;
   BlockingQuality blocking_quality;  // Table 2 row
 
@@ -133,9 +136,9 @@ EffectivenessMetrics EvaluateRetained(
     const std::vector<uint32_t>& retained_indices,
     const std::vector<uint8_t>& is_positive, size_t num_ground_truth);
 
-/// Same measures from pre-counted tallies — for callers (the streaming
-/// executor) that evaluate retained pairs on the fly instead of holding an
-/// is_positive vector over the whole candidate set.
+/// Same measures from pre-counted tallies — for callers (the batch and
+/// streaming executors) that count true positives without an is_positive
+/// vector over the whole candidate set.
 EffectivenessMetrics MetricsFromCounts(size_t true_positives, size_t retained,
                                        size_t num_ground_truth);
 
@@ -165,19 +168,46 @@ struct MetaBlockingResult {
 /// of a preparation, as a non-owning view. Callers that share one
 /// preparation across many configurations (Engine::Prepare handles, sweep
 /// harnesses) execute through this without owning a PreparedDataset —
-/// the blocks/index can live in a cached, immutable handle while the pairs
-/// and labels come from its lazily materialised batch arrays.
+/// the blocks/index and positive indices can live in a cached, immutable
+/// handle while the pairs come from its lazily materialised batch arrays.
 struct PreparedRef {
   const std::string* name = nullptr;
   const EntityIndex* index = nullptr;
   const BlockCollectionStats* stats = nullptr;
   const std::vector<CandidatePair>* pairs = nullptr;
-  const std::vector<uint8_t>* is_positive = nullptr;
+  /// Ascending indices of the ground-truth matches among `pairs`.
+  const std::vector<uint64_t>* positive_indices = nullptr;
   size_t num_ground_truth = 0;
 };
 
 /// The view of an owning preparation.
 PreparedRef RefOf(const PreparedDataset& dataset);
+
+/// A trainer's row source: the feature rows of the given candidate indices,
+/// in the order they are listed.
+using SampleRows = std::function<Matrix(const std::vector<size_t>& rows)>;
+
+/// A fitted classifier and the size of the sample it was fitted on.
+struct TrainedClassifier {
+  std::unique_ptr<ProbabilisticClassifier> model;
+  size_t training_size = 0;
+};
+
+/// The one trainer of the batch, streaming and serving paths. Draws the
+/// balanced sample of config.train_per_class pairs per class, seeded by
+/// config.seed (SampleBalanced over `positive_indices`, the ascending
+/// ground-truth matches among candidates [0, num_candidates)), reads the
+/// sampled candidates' feature rows from `rows_of`, and fits
+/// config.classifier. Timed as Phase::kTrain in `phases` (optional). The
+/// model depends on the sample alone, never on the rest of the candidate
+/// set (the paper's training-size study, Figs. 11 and 14), so every row
+/// source that yields the same rows yields the same model. Throws
+/// std::runtime_error naming `dataset_name` when the sample holds fewer
+/// than two pairs.
+TrainedClassifier TrainClassifier(
+    const std::vector<uint64_t>& positive_indices, uint64_t num_candidates,
+    const MetaBlockingConfig& config, const SampleRows& rows_of,
+    const std::string& dataset_name, obs::PhaseTimings* phases);
 
 /// Runs one configuration end to end (features computed internally and
 /// included in the timing, as the paper's RT does). No |C|×d feature matrix

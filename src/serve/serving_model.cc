@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/pipeline.h"
 #include "ml/logistic_regression.h"
 
 namespace gsmb {
@@ -23,68 +22,49 @@ std::vector<double> ServingModel::PredictRows(const Matrix& x) const {
   return out;
 }
 
-namespace {
-
-MetaBlockingConfig TrainingConfig(const FeatureSet& features,
-                                  const ServingModelTraining& options) {
+ServingModel TrainServingModelFromPrepared(const StreamingDataset& prepared,
+                                           const FeatureSet& features,
+                                           const ServingModelTraining& options,
+                                           size_t* training_size,
+                                           obs::PhaseTimings* phases) {
+  if (prepared.ground_truth.empty()) {
+    throw std::invalid_argument(
+        "TrainServingModel: ground truth has no labelled matches");
+  }
   MetaBlockingConfig config;
   config.features = features;
   config.classifier = options.classifier;
   config.train_per_class = options.train_per_class;
   config.seed = options.seed;
   config.execution = options.execution;
-  return config;
-}
-
-ServingModel ModelFromCoefficients(const MetaBlockingResult& result,
-                                   const FeatureSet& features,
-                                   size_t* training_size) {
-  if (training_size != nullptr) *training_size = result.training_size;
-  if (result.model_coefficients.size() != features.Dimensions() + 1) {
+  const TrainedClassifier trained =
+      TrainClassifier(prepared, config, /*lcp=*/nullptr, phases);
+  if (training_size != nullptr) *training_size = trained.training_size;
+  const std::vector<double> coefficients =
+      trained.model->CoefficientsWithIntercept();
+  if (coefficients.size() != features.Dimensions() + 1) {
     throw std::runtime_error(
         "TrainServingModel: classifier has no raw-space linear form (use "
         "logistic regression or linear SVC)");
   }
   ServingModel model;
   model.features = features;
-  model.weights.assign(result.model_coefficients.begin(),
-                       result.model_coefficients.end() - 1);
-  model.intercept = result.model_coefficients.back();
+  model.weights.assign(coefficients.begin(), coefficients.end() - 1);
+  model.intercept = coefficients.back();
   return model;
 }
-
-}  // namespace
 
 ServingModel TrainServingModel(const EntityCollection& labelled,
                                const GroundTruth& ground_truth,
                                const FeatureSet& features,
                                const ServingModelTraining& options,
                                size_t* training_size) {
-  if (ground_truth.empty()) {
-    throw std::invalid_argument(
-        "TrainServingModel: ground truth has no labelled matches");
-  }
   BlockingOptions blocking = options.blocking;
   blocking.execution = options.execution;
-  PreparedDataset prep =
-      PrepareDirty("serving-bootstrap", labelled, ground_truth, blocking);
-  MetaBlockingResult result =
-      RunMetaBlocking(prep, TrainingConfig(features, options));
-  return ModelFromCoefficients(result, features, training_size);
-}
-
-ServingModel TrainServingModelFromPrepared(const PreparedRef& prepared,
-                                           const FeatureSet& features,
-                                           const ServingModelTraining& options,
-                                           size_t* training_size) {
-  if (prepared.num_ground_truth == 0) {
-    throw std::invalid_argument(
-        "TrainServingModelFromPrepared: ground truth has no labelled "
-        "matches");
-  }
-  MetaBlockingResult result =
-      RunMetaBlocking(prepared, TrainingConfig(features, options));
-  return ModelFromCoefficients(result, features, training_size);
+  return TrainServingModelFromPrepared(
+      PrepareStreamingDirty("serving-bootstrap", labelled, ground_truth,
+                            blocking),
+      features, options, training_size);
 }
 
 }  // namespace gsmb

@@ -22,7 +22,9 @@
 #include "er/entity_collection.h"
 #include "er/ground_truth.h"
 #include "gsmb/execution.h"
+#include "gsmb/telemetry.h"
 #include "ml/classifier.h"
+#include "stream/streaming_dataset.h"
 #include "util/matrix.h"
 
 namespace gsmb {
@@ -52,38 +54,36 @@ struct ServingModelTraining {
   ClassifierKind classifier = ClassifierKind::kLogisticRegression;
   size_t train_per_class = 250;
   uint64_t seed = 0;
-  /// Preprocessing applied to the bootstrap collection before training
-  /// (paper defaults). The Engine's serving backend overrides this with the
-  /// JobSpec's blocking section so the trained model is bit-identical to
-  /// the batch backend's.
+  /// Preprocessing TrainServingModel applies to the bootstrap collection
+  /// (paper defaults); a prepared trainer ignores it.
   BlockingOptions blocking;
   /// Shared execution knobs; also applied to `blocking`.
   ExecutionOptions execution;
 };
 
-/// Trains a classifier with the batch pipeline (Token Blocking -> purging ->
-/// filtering -> features -> balanced sample -> fit) on a labelled Dirty-ER
-/// collection and returns its raw-space linear form. Throws when the chosen
-/// classifier has no linear representation (Gaussian Naive Bayes) or when
-/// the data yields too few labelled candidate pairs to train.
-/// `training_size` (optional) receives the balanced sample's actual size.
+/// Trains the classifier every backend trains (TrainClassifier over the
+/// counting preparation, stream/streaming_dataset.h) and returns its
+/// raw-space linear form: the balanced sample of the prepared candidates,
+/// the sampled pairs' feature rows and the fit, never a pass over the
+/// whole candidate set. The model equals the batch path's
+/// model_coefficients on the same preparation bit for bit. Throws when the
+/// chosen classifier has no linear representation (Gaussian Naive Bayes)
+/// or when the preparation yields too few labelled candidate pairs.
+/// `training_size` (optional) receives the balanced sample's actual size;
+/// `phases` (optional) receives the training time as Phase::kTrain.
+ServingModel TrainServingModelFromPrepared(
+    const StreamingDataset& prepared, const FeatureSet& features,
+    const ServingModelTraining& options = {}, size_t* training_size = nullptr,
+    obs::PhaseTimings* phases = nullptr);
+
+/// Prepares a labelled Dirty-ER collection with `options.blocking`
+/// (PrepareStreamingDirty: Token Blocking -> purging -> filtering ->
+/// counting) and trains from it (TrainServingModelFromPrepared).
 ServingModel TrainServingModel(const EntityCollection& labelled,
                                const GroundTruth& ground_truth,
                                const FeatureSet& features,
                                const ServingModelTraining& options = {},
                                size_t* training_size = nullptr);
-
-/// Trains from an existing preparation instead of re-blocking inside the
-/// trainer: the caller supplies the blocked, labelled candidate view (an
-/// Engine prepared handle's batch arrays, or RefOf() over an owning
-/// PreparedDataset) and only the per-configuration stages run. With the
-/// same blocking options the fitted model is bit-identical to
-/// TrainServingModel's — same pipeline, same balanced-sample replay —
-/// minus the redundant blocking pass. `options.blocking` is ignored (the
-/// preparation already applied it).
-ServingModel TrainServingModelFromPrepared(
-    const PreparedRef& prepared, const FeatureSet& features,
-    const ServingModelTraining& options = {}, size_t* training_size = nullptr);
 
 }  // namespace gsmb
 

@@ -5,6 +5,7 @@
 
 #include "blocking/candidate_pairs.h"
 #include "blocking/token_blocking.h"
+#include "core/features.h"
 #include "util/thread_pool.h"
 
 namespace gsmb {
@@ -136,6 +137,22 @@ StreamingDataset PrepareStreamingFromBlocks(const std::string& name,
                                             size_t num_threads) {
   return FinishStreamingPreparation(name, std::move(blocks),
                                     std::move(ground_truth), num_threads);
+}
+
+TrainedClassifier TrainClassifier(const StreamingDataset& dataset,
+                                  const MetaBlockingConfig& config,
+                                  const std::vector<double>* lcp,
+                                  obs::PhaseTimings* phases) {
+  PairRegenerator regenerate(*dataset.index, dataset.pivot_offsets);
+  return TrainClassifier(
+      dataset.positive_indices, dataset.num_candidates(), config,
+      [&](const std::vector<size_t>& rows) {
+        return SampledFeatureRows(
+            *dataset.index, config.features, rows,
+            [&](size_t row) { return regenerate.At(row); },
+            config.execution.num_threads, lcp);
+      },
+      dataset.name, phases);
 }
 
 }  // namespace gsmb

@@ -12,9 +12,9 @@
 //                      partner is that pivot's (i - pivot_offsets[p])-th
 //                      distinct neighbour. O(#pivots).
 //   positive_indices   the global candidate indices that are ground-truth
-//                      matches, ascending. O(|D ∩ C|) — this is what lets
-//                      the trainer replicate the batch path's balanced
-//                      sample without an is_positive byte per candidate.
+//                      matches, ascending. O(|D ∩ C|) — what the trainer
+//                      (TrainClassifier) samples from, so no label byte
+//                      per candidate is needed.
 //
 // Both are produced by one counting sweep over the entity index (the same
 // per-pivot enumeration GenerateCandidatePairs performs, minus the pair
@@ -75,6 +75,18 @@ StreamingDataset PrepareStreamingFromBlocks(const std::string& name,
                                             BlockCollection blocks,
                                             GroundTruth ground_truth,
                                             size_t num_threads = 1);
+
+/// TrainClassifier (core/pipeline.h) over the counting preparation: the
+/// sampled candidates' pairs are regenerated pivot by pivot
+/// (PairRegenerator) and their rows extracted with SampledFeatureRows, so
+/// no candidate list exists. `lcp` is the per-entity LCP when the caller
+/// already has it (nullptr computes it when the feature set needs it). The
+/// streaming executor and the serving cold build both train through this,
+/// and the model equals the batch path's bit for bit.
+TrainedClassifier TrainClassifier(const StreamingDataset& dataset,
+                                  const MetaBlockingConfig& config,
+                                  const std::vector<double>* lcp,
+                                  obs::PhaseTimings* phases);
 
 }  // namespace gsmb
 

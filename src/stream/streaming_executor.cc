@@ -9,40 +9,11 @@
 #include "core/features.h"
 #include "core/pruning_aggregates.h"
 #include "gsmb/telemetry.h"
-#include "ml/sampler.h"
-#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace gsmb {
 
 namespace {
-
-/// Resolves the training sample's candidate indices to their pairs without
-/// the materialised candidate set: each pivot's neighbour list is
-/// regenerated when the pivot changes, so ascending queries rebuild each
-/// pivot once.
-class PairRegenerator {
- public:
-  PairRegenerator(const EntityIndex& index,
-                  const std::vector<uint64_t>& pivot_offsets)
-      : pivot_offsets_(pivot_offsets), generator_(index) {}
-
-  CandidatePair At(uint64_t index) {
-    const size_t pivot = PivotOfCandidate(pivot_offsets_, index);
-    if (pivot != current_pivot_) {
-      generator_.Generate(pivot, &neighbours_);
-      current_pivot_ = pivot;
-    }
-    return {static_cast<EntityId>(pivot),
-            neighbours_[index - pivot_offsets_[pivot]]};
-  }
-
- private:
-  const std::vector<uint64_t>& pivot_offsets_;
-  PivotNeighbourGenerator generator_;
-  std::vector<EntityId> neighbours_;
-  size_t current_pivot_ = std::numeric_limits<size_t>::max();
-};
 
 /// A weight-based kind's above-floor pairs from sweep 1, one part per shard,
 /// ascending by global index. Every weight-based Keep() is false below the
@@ -227,27 +198,11 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   }
 
   // ---- Training: the batch path's sample, its rows and fit. ----
-  std::unique_ptr<ProbabilisticClassifier> model;
-  {
-    obs::ScopedPhase train_phase(&result.phases, obs::Phase::kTrain);
-    Rng rng(config.seed);
-    const TrainingSet training = SampleBalanced(
-        dataset_.positive_indices, n64, config.train_per_class, &rng);
-    if (training.size() < 2) {
-      throw std::runtime_error(
-          "StreamingExecutor: not enough labelled pairs to train (dataset '" +
-          dataset_.name + "')");
-    }
-    PairRegenerator regenerate(index, dataset_.pivot_offsets);
-    const Matrix train_x = SampledFeatureRows(
-        index, config.features, training.row_indices,
-        [&](size_t row) { return regenerate.At(row); },
-        config.execution.num_threads, lcp_ptr);
-    model = MakeClassifier(config.classifier, config.seed);
-    model->Fit(train_x, training.labels);
-    result.training_size = training.size();
-    result.model_coefficients = model->CoefficientsWithIntercept();
-  }
+  const TrainedClassifier trained =
+      TrainClassifier(dataset_, config, lcp_ptr, &result.phases);
+  const ProbabilisticClassifier& model = *trained.model;
+  result.training_size = trained.training_size;
+  result.model_coefficients = model.CoefficientsWithIntercept();
 
   // ---- Pruning context, identical to the batch path's. ----
   PruningContext context =
@@ -274,7 +229,7 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   if (aggregator->needs_accumulation()) {
     ++result.sweeps;
     for (const ShardSlice& shard : shards) {
-      FillArena(shard, config, *model, lcp_ptr, &arena, &result);
+      FillArena(shard, config, model, lcp_ptr, &arena, &result);
       obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
       // Per-shard accumulate+fold latency feeds the fold-time histogram the
       // streaming bench reports percentiles from.
@@ -354,7 +309,7 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
     if (!resident) ++result.sweeps;
     for (const ShardSlice& shard : shards) {
       if (!resident) {
-        FillArena(shard, config, *model, lcp_ptr, &arena, &result);
+        FillArena(shard, config, model, lcp_ptr, &arena, &result);
       }
       obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
       const size_t shard_chunks = shard.chunk_end - shard.chunk_begin;

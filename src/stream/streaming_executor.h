@@ -41,11 +41,11 @@
 //     probabilities of the batch sweep bit for bit (core/features.cc
 //     sweeps the pivot's blocks identically regardless of which rows are
 //     requested, and a pivot cut by a shard boundary is swept by both);
-//   * the trainer draws the batch path's balanced sample with the same
-//     SampleBalanced (ml/sampler.h), from the positive indices instead of
-//     a label byte per candidate, and extracts its rows with the same
-//     SampledFeatureRows (core/features.h) — same rows, same row order —
-//     so the fitted model is identical.
+//   * training is the batch path's TrainClassifier (core/pipeline.h):
+//     the same balanced sample over the same positive indices, its rows
+//     from the same SampledFeatureRows (core/features.h) with the pairs
+//     regenerated instead of read from a list — same rows, same row order
+//     — so the fitted model is identical.
 //
 // Deliberate departure from the serving layer (serve/session.h): serving
 // hash-shards TOKENS so a shard is refreshable in isolation; here shards

@@ -72,6 +72,11 @@ TEST(EngineEquivalence, AllPruningKindsAcrossAllThreeBackends) {
         << PruningKindName(pruning) << ": batch vs serving diverge";
     EXPECT_EQ(batch.metrics.retained, serving.metrics.retained);
     EXPECT_EQ(batch.metrics.true_positives, serving.metrics.true_positives);
+    // One trainer: every backend fits the same model.
+    EXPECT_EQ(batch.model_coefficients, streaming.model_coefficients)
+        << PruningKindName(pruning);
+    EXPECT_EQ(batch.model_coefficients, serving.model_coefficients)
+        << PruningKindName(pruning);
   }
 }
 

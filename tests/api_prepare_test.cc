@@ -289,5 +289,24 @@ TEST(PreparedInputsLazyBatch, StreamingNeverMaterialises) {
   EXPECT_TRUE((*prepared)->batch_materialized());
 }
 
+// A serving cold build trains on the sampled pairs of the counting
+// preparation, so neither a one-shot serving run nor a session opened on
+// the cached handle materialises the batch arrays.
+TEST(PreparedInputsLazyBatch, ServingNeverMaterialises) {
+  Engine engine;
+  JobSpec spec = SmallSpec();
+  spec.execution.mode = ExecutionMode::kServing;
+  Result<PreparedHandle> prepared = engine.Prepare(spec);
+  ASSERT_TRUE(prepared.ok());
+  Result<JobResult> run = engine.Execute(spec, **prepared);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  Result<MetaBlockingSession> session = engine.OpenSession(spec);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(engine.prepare_cache_stats().misses, 1u)
+      << "OpenSession must reuse the cached handle";
+  EXPECT_FALSE((*prepared)->batch_materialized())
+      << "a serving handle must stay free of O(|C|) arrays";
+}
+
 }  // namespace
 }  // namespace gsmb

@@ -327,5 +327,32 @@ TEST(Telemetry, AllThreeBackendsReportTheSamePhaseSet) {
   EXPECT_EQ(phase_keys[2], expected);
 }
 
+// A serving run's pipeline counters are its session's candidate and
+// retained counts, the numbers its JobResult reports. At more than one
+// shard both differ from those of a batch job over the same profiles.
+TEST(Telemetry, ServingCountersAreTheSessionsOwn) {
+  Engine engine;
+  JobSpec spec;
+  spec.dataset.source = DatasetSource::kGeneratedDirty;
+  spec.dataset.name = "D10K";
+  spec.dataset.scale = 0.03;
+  spec.blocking.filter_ratio = 1.0;  // serving cannot filter
+  spec.training.labels_per_class = 15;
+  spec.training.seed = 3;
+  spec.execution.mode = ExecutionMode::kServing;
+  spec.execution.shards = 4;
+
+  obs::TelemetrySink sink;
+  SinkInstallation install(&sink);
+  Result<JobResult> result = engine.Run(spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(result->shards_used, 1u);
+  const obs::MetricsSnapshot metrics = sink.SnapshotMetrics();
+  ASSERT_EQ(metrics.counters.count("pairs.generated"), 1u);
+  ASSERT_EQ(metrics.counters.count("pairs.retained"), 1u);
+  EXPECT_EQ(metrics.counters.at("pairs.generated"), result->num_candidates);
+  EXPECT_EQ(metrics.counters.at("pairs.retained"), result->metrics.retained);
+}
+
 }  // namespace
 }  // namespace gsmb

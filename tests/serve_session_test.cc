@@ -16,6 +16,7 @@
 #include "blocking/entity_index.h"
 #include "blocking/token_blocking.h"
 #include "core/features.h"
+#include "core/pipeline.h"
 #include "datasets/dirty_generator.h"
 #include "serve/session.h"
 #include "serve/serving_model.h"
@@ -69,6 +70,42 @@ MetaBlockingSession ColdSession(const SessionOptions& options,
 std::vector<EntityProfile> Slice(const std::vector<EntityProfile>& all,
                                  size_t begin, size_t end) {
   return {all.begin() + begin, all.begin() + end};
+}
+
+// The serving trainer is the batch trainer: on the same labelled
+// collection its raw-space model is the batch run's coefficients bit for
+// bit, for both linear classifiers and for a feature set with LCP.
+TEST(ServeModel, EqualsTheBatchPipelinesModel) {
+  const GeneratedDirty labelled = DirtyGenerator().Generate(TestSpec(400, 23));
+  const PreparedDataset prep =
+      PrepareDirty("batch", labelled.entities, labelled.ground_truth);
+  for (ClassifierKind classifier :
+       {ClassifierKind::kLogisticRegression, ClassifierKind::kLinearSvc}) {
+    for (const FeatureSet& features :
+         {FeatureSet::BlastOptimal(), FeatureSet::RcnpOptimal()}) {
+      ServingModelTraining training;
+      training.classifier = classifier;
+      training.train_per_class = 40;
+      training.seed = 5;
+      size_t training_size = 0;
+      const ServingModel model =
+          TrainServingModel(labelled.entities, labelled.ground_truth,
+                            features, training, &training_size);
+
+      MetaBlockingConfig config;
+      config.features = features;
+      config.classifier = classifier;
+      config.train_per_class = 40;
+      config.seed = 5;
+      const MetaBlockingResult batch = RunMetaBlocking(prep, config);
+      std::vector<double> coefficients = model.weights;
+      coefficients.push_back(model.intercept);
+      EXPECT_EQ(coefficients, batch.model_coefficients)
+          << ClassifierKindName(classifier) << ", "
+          << features.Dimensions() << " features";
+      EXPECT_EQ(training_size, batch.training_size);
+    }
+  }
 }
 
 TEST(ServeSession, RejectsInvalidConstruction) {

@@ -2,16 +2,13 @@
 """Validates gsmb_cli --trace-out / --metrics-out artifacts.
 
 Usage:
-    check_trace.py [--serving] trace.json [metrics.json]
+    check_trace.py trace.json [metrics.json]
 
 Asserts the trace is Chrome-trace JSON (chrome://tracing / Perfetto
 loadable): a `traceEvents` array of complete events (`ph == "X"`) each
 carrying name/ts/dur/pid/tid, whose span names cover every canonical
-pipeline phase (--serving drops the `prepare` span from the required
-set: a serving session blocks during its own refresh, so it has no
-prepared handle and no prepare span). With a metrics file, additionally
-asserts the registry export carries the pipeline counters as exact
-integers.
+pipeline phase. With a metrics file, additionally asserts the registry
+export carries the pipeline counters as exact integers.
 
 Exit status: 0 and "trace OK" on success, 1 with a diagnostic otherwise.
 """
@@ -30,7 +27,7 @@ def fail(message):
     return 1
 
 
-def check_trace(path, required_phases):
+def check_trace(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     events = doc.get("traceEvents")
@@ -46,7 +43,7 @@ def check_trace(path, required_phases):
         if event["dur"] < 0 or event["ts"] < 0:
             return fail("%s: negative time in %r" % (path, event))
         names.add(event["name"])
-    missing = required_phases - names
+    missing = CANONICAL_PHASES - names
     if missing:
         return fail("%s: canonical phase spans missing: %s"
                     % (path, ", ".join(sorted(missing))))
@@ -73,14 +70,10 @@ def check_metrics(path):
 
 def main(argv):
     args = argv[1:]
-    required = set(CANONICAL_PHASES)
-    if args and args[0] == "--serving":
-        required.discard("prepare")
-        args = args[1:]
     if len(args) not in (1, 2):
         print(__doc__)
         return 2
-    status = check_trace(args[0], required)
+    status = check_trace(args[0])
     if status == 0 and len(args) == 2:
         status = check_metrics(args[1])
     return status
