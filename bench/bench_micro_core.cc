@@ -1,13 +1,17 @@
-// google-benchmark microbenchmarks for the library's hot kernels: blocking,
-// index construction, candidate generation, feature extraction (with and
-// without LCP), classifier training/inference and every pruning algorithm.
+// google-benchmark microbenchmarks for the library's hot kernels: blocking
+// (key blocking per scheme), index construction, candidate generation,
+// feature extraction (with and without LCP), classifier training/inference
+// and every pruning algorithm.
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string>
 
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
+#include "blocking/qgram_blocking.h"
+#include "blocking/suffix_blocking.h"
 #include "blocking/token_blocking.h"
 #include "core/pipeline.h"
 #include "datasets/clean_clean_generator.h"
@@ -46,6 +50,66 @@ void BM_TokenBlocking(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TokenBlocking);
+
+// The sort-merge key builder per scheme and dataset: key extraction into
+// per-chunk arenas, per-chunk sorted runs, the parallel merge over key
+// ranges. Args: {case, threads}; the label names the case.
+struct KeyBlockingCase {
+  const char* label;
+  const char* dataset;
+  double scale;
+  BlockCollection (*build)(const GeneratedCleanClean&, size_t threads);
+};
+
+const KeyBlockingCase kKeyBlockingCases[] = {
+    {"token/AbtBuy x1", "AbtBuy", 1.0,
+     [](const GeneratedCleanClean& d, size_t threads) {
+       return TokenBlocking().Build(d.e1, d.e2, threads);
+     }},
+    {"qgram/AbtBuy x1", "AbtBuy", 1.0,
+     [](const GeneratedCleanClean& d, size_t threads) {
+       return QGramBlocking().Build(d.e1, d.e2, threads);
+     }},
+    {"suffix/AbtBuy x1", "AbtBuy", 1.0,
+     [](const GeneratedCleanClean& d, size_t threads) {
+       return SuffixBlocking().Build(d.e1, d.e2, threads);
+     }},
+    {"token/DblpAcm x2", "DblpAcm", 2.0,
+     [](const GeneratedCleanClean& d, size_t threads) {
+       return TokenBlocking().Build(d.e1, d.e2, threads);
+     }},
+};
+
+const GeneratedCleanClean& KeyBlockingData(const KeyBlockingCase& c) {
+  static std::map<std::string, const GeneratedCleanClean*> cache;
+  const GeneratedCleanClean*& data = cache[c.dataset];
+  if (data == nullptr) {
+    data = new GeneratedCleanClean(CleanCleanGenerator().Generate(
+        CleanCleanSpecByName(c.dataset, c.scale)));
+  }
+  return *data;
+}
+
+void BM_KeyBlocking(benchmark::State& state) {
+  const KeyBlockingCase& c = kKeyBlockingCases[state.range(0)];
+  const auto threads = static_cast<size_t>(state.range(1));
+  const GeneratedCleanClean& d = KeyBlockingData(c);
+  for (auto _ : state) {
+    BlockCollection bc = c.build(d, threads);
+    benchmark::DoNotOptimize(bc.size());
+  }
+  state.SetLabel(std::string(c.label) + "/t" + std::to_string(threads));
+}
+BENCHMARK(BM_KeyBlocking)
+    ->Args({0, 1})
+    ->Args({0, 4})
+    ->Args({1, 1})
+    ->Args({1, 4})
+    ->Args({2, 1})
+    ->Args({2, 4})
+    ->Args({3, 1})
+    ->Args({3, 4})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PurgeAndFilter(benchmark::State& state) {
   const GeneratedCleanClean& d = Data();

@@ -98,7 +98,8 @@ struct BlockingSpec {
   size_t min_token_length = 1;
   /// Q-gram scheme: gram length.
   size_t qgram = 3;
-  /// Suffix scheme: minimum suffix length and per-source block cap.
+  /// Suffix scheme: minimum suffix length, and the cap on a block's
+  /// members, both sources together (larger blocks are dropped).
   size_t suffix_min_length = 4;
   size_t suffix_max_block_size = 64;
   /// Sorted-neighborhood schemes: window size (the fixed window, and the

@@ -109,30 +109,39 @@ Result<JobInputs> LoadJobInputs(const JobSpec& spec) {
 
 Result<PreparedHandle> BuildPreparedInputs(const JobSpec& spec) {
   try {
-    Result<JobInputs> inputs = LoadJobInputs(spec);
-    if (!inputs.ok()) return inputs.status();
-
+    // The child spans carry perfbench's layer names: datasets.load, then
+    // blocking (schemes.build, blocking.purge, blocking.filter), then
+    // stream.index_count and obs.digest.
+    GSMB_SPAN("prepare");
     auto prepared = std::make_shared<PreparedInputs>();
-    prepared->inputs = std::move(*inputs);
-    Stopwatch watch;
     {
-      GSMB_SPAN("prepare");
-      BlockCollection blocks = [&] {
-        GSMB_SPAN("blocking");
-        return BuildPreprocessedBlocks(spec, prepared->inputs);
-      }();
+      GSMB_SPAN("datasets.load");
+      Result<JobInputs> inputs = LoadJobInputs(spec);
+      if (!inputs.ok()) return inputs.status();
+      prepared->inputs = std::move(*inputs);
+    }
+    Stopwatch watch;
+    BlockCollection blocks = [&] {
+      GSMB_SPAN("blocking");
+      return BuildPreprocessedBlocks(spec, prepared->inputs);
+    }();
+    {
+      GSMB_SPAN("stream.index_count");
       prepared->stream = PrepareStreamingFromBlocks(
           "job", std::move(blocks), prepared->inputs.ground_truth,
           ResolvedExecution(spec).num_threads);
     }
     prepared->prepare_seconds = watch.ElapsedSeconds();
     prepared->cache_key = PrepareCacheKey(spec);
-    // Provenance: fingerprint the inputs and the blocked representation
-    // while both are hot. One-off per preparation, shared by every run
-    // and sweep variant through the cache.
-    prepared->dataset_fingerprint =
-        obs::DatasetFingerprint(prepared->inputs);
-    prepared->prepared_digest = obs::PreparedStreamDigest(prepared->stream);
+    {
+      // Provenance: fingerprint the inputs and the blocked representation
+      // while both are hot. One-off per preparation, shared by every run
+      // and sweep variant through the cache.
+      GSMB_SPAN("obs.digest");
+      prepared->dataset_fingerprint =
+          obs::DatasetFingerprint(prepared->inputs);
+      prepared->prepared_digest = obs::PreparedStreamDigest(prepared->stream);
+    }
     GSMB_LOG_INFO("prepare.done",
                   {"candidates", prepared->num_candidates()},
                   {"blocks", prepared->stream.blocks.size()},
@@ -158,7 +167,10 @@ BlockCollection BuildPreprocessedBlocks(const JobSpec& spec,
     throw std::runtime_error("blocking scheme '" + spec.blocking.scheme +
                              "' is not registered");
   }
-  BlockCollection raw = blocker->Build(inputs, spec.blocking, threads);
+  BlockCollection raw = [&] {
+    GSMB_SPAN("schemes.build");
+    return blocker->Build(inputs, spec.blocking, threads);
+  }();
   return PreprocessBlocks(std::move(raw), BlockingOptionsFromSpec(spec));
 }
 

@@ -6,14 +6,6 @@
 
 namespace gsmb {
 
-namespace {
-
-// Pivots carry much more work each than candidate pairs do, so they chunk
-// at a finer grain than kDefaultChunkGrain.
-constexpr size_t kPivotChunkGrain = 1024;
-
-}  // namespace
-
 size_t NumCandidatePivots(const EntityIndex& index) {
   return index.clean_clean() ? index.num_left() : index.num_entities();
 }

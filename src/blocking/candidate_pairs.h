@@ -8,6 +8,7 @@
 #ifndef GSMB_BLOCKING_CANDIDATE_PAIRS_H_
 #define GSMB_BLOCKING_CANDIDATE_PAIRS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -17,6 +18,13 @@
 #include "er/ground_truth.h"
 
 namespace gsmb {
+
+/// Pivots per chunk of the parallel candidate sweeps: GenerateCandidatePairs
+/// and stream/'s counting sweep. A pivot carries a whole neighbourhood of
+/// work, so the grain is far finer than kDefaultChunkGrain, fine enough to
+/// split a thousand pivots across workers. Chunk outputs concatenate in
+/// chunk order, so no result depends on it.
+inline constexpr size_t kPivotChunkGrain = 64;
 
 /// One non-redundant comparison c_{i,j}. Ids are *local*: `left` indexes E1
 /// and `right` indexes E2 for Clean-Clean ER; for Dirty ER both index the

@@ -1,25 +1,26 @@
 #include "blocking/qgram_blocking.h"
 
-#include <algorithm>
+#include <string_view>
 
 #include "blocking/key_blocking.h"
-#include "util/string_utils.h"
 
 namespace gsmb {
 
 namespace {
 
+// Every q-gram of a token views the token's one copy in the arena; a token
+// of at most q characters is its own single gram.
 KeyFunction QGramKeys(size_t q) {
-  return [q](const EntityProfile& p) {
-    std::vector<std::string> keys;
-    for (const std::string& token : p.DistinctValueTokens()) {
-      std::vector<std::string> grams = QGrams(token, q);
-      keys.insert(keys.end(), std::make_move_iterator(grams.begin()),
-                  std::make_move_iterator(grams.end()));
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    return keys;
+  return [q](const EntityProfile& p, KeySink* sink) {
+    if (q == 0) return;
+    p.ForEachValueTokenRun([q, sink](std::string_view run) {
+      const size_t token = sink->AppendLower(run);
+      if (run.size() <= q) {
+        sink->Emit(token, run.size());
+        return;
+      }
+      for (size_t i = 0; i + q <= run.size(); ++i) sink->Emit(token + i, q);
+    });
   };
 }
 

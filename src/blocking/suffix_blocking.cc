@@ -1,25 +1,28 @@
 #include "blocking/suffix_blocking.h"
 
-#include <algorithm>
+#include <string_view>
 
 #include "blocking/key_blocking.h"
-#include "util/string_utils.h"
 
 namespace gsmb {
 
 namespace {
 
+// Every suffix of a token views the token's one copy in the arena, so a
+// token of length L costs L bytes, not O(L^2). A token of at most min_len
+// characters is its own single key.
 KeyFunction SuffixKeys(size_t min_len) {
-  return [min_len](const EntityProfile& p) {
-    std::vector<std::string> keys;
-    for (const std::string& token : p.DistinctValueTokens()) {
-      std::vector<std::string> sfx = Suffixes(token, min_len);
-      keys.insert(keys.end(), std::make_move_iterator(sfx.begin()),
-                  std::make_move_iterator(sfx.end()));
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    return keys;
+  return [min_len](const EntityProfile& p, KeySink* sink) {
+    p.ForEachValueTokenRun([min_len, sink](std::string_view run) {
+      const size_t token = sink->AppendLower(run);
+      if (run.size() <= min_len) {
+        sink->Emit(token, run.size());
+        return;
+      }
+      for (size_t i = 0; i + min_len <= run.size(); ++i) {
+        sink->Emit(token + i, run.size() - i);
+      }
+    });
   };
 }
 

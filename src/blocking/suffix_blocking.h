@@ -1,9 +1,10 @@
 // Suffix Arrays Blocking — a third redundancy-positive blocking method.
 //
 // Each token contributes all of its suffixes of length >= min_length as
-// blocking keys; blocks whose key set would exceed `max_block_size` members
-// per source are discarded (the classic frequency cap of Suffix Arrays
-// blocking, which prunes uninformative short suffixes).
+// blocking keys; blocks with more than `max_block_size` members in total
+// (Block::Size, both sources of a Clean-Clean block together) are discarded
+// (the classic frequency cap of Suffix Arrays blocking, which prunes
+// uninformative short suffixes).
 
 #ifndef GSMB_BLOCKING_SUFFIX_BLOCKING_H_
 #define GSMB_BLOCKING_SUFFIX_BLOCKING_H_

@@ -1,5 +1,7 @@
 #include "blocking/token_blocking.h"
 
+#include <string_view>
+
 #include "blocking/key_blocking.h"
 
 namespace gsmb {
@@ -7,13 +9,12 @@ namespace gsmb {
 namespace {
 
 KeyFunction TokenKeys(size_t min_len) {
-  return [min_len](const EntityProfile& p) {
-    std::vector<std::string> tokens = p.DistinctValueTokens();
-    if (min_len > 1) {
-      std::erase_if(tokens,
-                    [min_len](const std::string& t) { return t.size() < min_len; });
-    }
-    return tokens;
+  return [min_len](const EntityProfile& p, KeySink* sink) {
+    p.ForEachValueTokenRun([min_len, sink](std::string_view run) {
+      if (run.size() >= min_len) {
+        sink->Emit(sink->AppendLower(run), run.size());
+      }
+    });
   };
 }
 

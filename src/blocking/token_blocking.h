@@ -24,8 +24,9 @@ class TokenBlocking {
       : min_token_length_(min_token_length) {}
 
   /// Clean-Clean ER: blocks over two duplicate-free collections.
-  /// `num_threads` > 1 parallelises key extraction (chunk-and-merge);
-  /// the collection is bit-identical for any thread count.
+  /// `num_threads` > 1 parallelises key extraction and the run merge
+  /// (blocking/key_blocking.h); the collection is bit-identical for any
+  /// thread count.
   BlockCollection Build(const EntityCollection& e1,
                         const EntityCollection& e2,
                         size_t num_threads = 1) const;

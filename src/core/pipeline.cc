@@ -44,9 +44,12 @@ PreparedDataset FinishPreparation(const std::string& name,
 
 BlockCollection PreprocessBlocks(BlockCollection raw,
                                  const BlockingOptions& options) {
-  BlockPurging purging(options.purge_size_fraction);
-  BlockFiltering filtering(options.filter_ratio);
-  return filtering.Apply(purging.Apply(raw));
+  const BlockCollection purged = [&] {
+    GSMB_SPAN("blocking.purge");
+    return BlockPurging(options.purge_size_fraction).Apply(raw);
+  }();
+  GSMB_SPAN("blocking.filter");
+  return BlockFiltering(options.filter_ratio).Apply(purged);
 }
 
 PreparedDataset PrepareCleanClean(const std::string& name,

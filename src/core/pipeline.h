@@ -70,9 +70,10 @@ struct PreparedDataset {
 };
 
 /// The fixed preprocessing of every preparation path: Block Purging then
-/// Block Filtering with the options' parameters. Shared with the streaming
-/// preparation (stream/streaming_dataset.cc) so the two paths' implied
-/// candidate sets cannot drift apart.
+/// Block Filtering with the options' parameters, in "blocking.purge" and
+/// "blocking.filter" spans. Shared with the streaming preparation
+/// (stream/streaming_dataset.cc) so the two paths' implied candidate sets
+/// cannot drift apart.
 BlockCollection PreprocessBlocks(BlockCollection raw,
                                  const BlockingOptions& options);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/string_utils.h"
-
 namespace gsmb {
 
 void EntityProfile::AddAttribute(std::string name, std::string value) {
@@ -27,11 +25,9 @@ bool EntityProfile::HasAttribute(const std::string& name) const {
 
 std::vector<std::string> EntityProfile::DistinctValueTokens() const {
   std::vector<std::string> tokens;
-  for (const Attribute& a : attributes_) {
-    std::vector<std::string> t = TokenizeAlnum(a.value);
-    tokens.insert(tokens.end(), std::make_move_iterator(t.begin()),
-                  std::make_move_iterator(t.end()));
-  }
+  ForEachValueTokenRun([&tokens](std::string_view run) {
+    tokens.push_back(ToLowerAscii(run));
+  });
   std::sort(tokens.begin(), tokens.end());
   tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
   return tokens;

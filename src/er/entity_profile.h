@@ -10,7 +10,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/string_utils.h"
 
 namespace gsmb {
 
@@ -49,6 +52,16 @@ class EntityProfile {
   /// run in every attribute value, lower-cased, deduplicated, sorted.
   /// Attribute *names* are excluded, following Token Blocking's definition.
   std::vector<std::string> DistinctValueTokens() const;
+
+  /// The scan behind DistinctValueTokens: calls fn(run) for every token
+  /// occurrence of the attribute values, in order and with repeats, as the
+  /// raw alphanumeric run (ForEachAlnumRun). The token is the run
+  /// lower-cased. Key functions that copy tokens into an arena use this, so
+  /// no token costs a std::string.
+  template <typename Fn>
+  void ForEachValueTokenRun(Fn&& fn) const {
+    for (const Attribute& a : attributes_) ForEachAlnumRun(a.value, fn);
+  }
 
   /// Total number of characters across all attribute values.
   size_t ValueLength() const;

@@ -4,6 +4,7 @@
 #include <map>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -135,23 +136,22 @@ std::vector<std::string> ClusterPrefixes(
 }
 
 /// Key function for one source: (cluster prefix of the attribute) + token,
-/// distinct per profile.
+/// written contiguously into the sink's arena.
 KeyFunction ClusterKeys(std::map<std::string, std::string> prefix_by_name,
                         size_t min_token_length) {
   return [prefix_by_name = std::move(prefix_by_name),
-          min_token_length](const EntityProfile& p) {
-    std::vector<std::string> keys;
+          min_token_length](const EntityProfile& p, KeySink* sink) {
     for (const Attribute& a : p.attributes()) {
       const auto it = prefix_by_name.find(a.name);
       if (it == prefix_by_name.end()) continue;  // attribute with no tokens
-      for (const std::string& token : TokenizeAlnum(a.value)) {
-        if (token.size() < min_token_length) continue;
-        keys.push_back(it->second + token);
-      }
+      const std::string& prefix = it->second;
+      ForEachAlnumRun(a.value, [&](std::string_view run) {
+        if (run.size() < min_token_length) return;
+        const size_t key = sink->Append(prefix);
+        sink->AppendLower(run);
+        sink->Emit(key, prefix.size() + run.size());
+      });
     }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    return keys;
   };
 }
 

@@ -15,7 +15,7 @@
 // blocking.attribute_similarity; connected components of the links are the
 // clusters. The attribute universe is tiny next to the entity count, so
 // the clustering itself runs serially; key extraction reuses the
-// chunk-and-merge machinery of blocking/key_blocking.
+// sort-merge builder of blocking/key_blocking.
 
 #ifndef GSMB_SCHEMES_ATTRIBUTE_CLUSTERING_H_
 #define GSMB_SCHEMES_ATTRIBUTE_CLUSTERING_H_

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "blocking/key_blocking.h"
@@ -53,14 +54,13 @@ std::vector<HashParams> MakeHashFamily(uint64_t seed, size_t count) {
 KeyFunction BucketKeys(std::vector<HashParams> family, size_t bands,
                        size_t rows, size_t min_token_length) {
   return [family = std::move(family), bands, rows,
-          min_token_length](const EntityProfile& p) {
-    std::vector<std::string> keys;
+          min_token_length](const EntityProfile& p, KeySink* sink) {
     std::vector<uint64_t> base;
     for (const std::string& token : p.DistinctValueTokens()) {
       if (token.size() < min_token_length) continue;
       base.push_back(Fnv1a(token.data(), token.size(), kFnvOffset));
     }
-    if (base.empty()) return keys;
+    if (base.empty()) return;
 
     std::vector<uint64_t> signature(family.size());
     for (size_t h = 0; h < family.size(); ++h) {
@@ -73,17 +73,16 @@ KeyFunction BucketKeys(std::vector<HashParams> family, size_t bands,
       signature[h] = best;
     }
 
-    keys.reserve(bands);
     for (size_t band = 0; band < bands; ++band) {
       const uint64_t digest =
           Fnv1a(signature.data() + band * rows, rows * sizeof(uint64_t),
                 kFnvOffset);
-      char hex[17];
-      std::snprintf(hex, sizeof(hex), "%016llx",
-                    static_cast<unsigned long long>(digest));
-      keys.push_back("b" + std::to_string(band) + "#" + hex);
+      char key[48];
+      const int length =
+          std::snprintf(key, sizeof(key), "b%zu#%016llx", band,
+                        static_cast<unsigned long long>(digest));
+      sink->Add(std::string_view(key, static_cast<size_t>(length)));
     }
-    return keys;
   };
 }
 

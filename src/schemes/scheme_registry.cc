@@ -66,8 +66,9 @@ class SuffixBlocker : public Blocker {
  public:
   const char* name() const override { return kSchemeSuffix; }
   const char* description() const override {
-    return "one block per token suffix (blocking.suffix_min_length), "
-           "capped at blocking.suffix_max_block_size per source";
+    return "one block per token suffix (blocking.suffix_min_length); "
+           "blocks with more than blocking.suffix_max_block_size members, "
+           "both sources together, are dropped";
   }
   Status ValidateParams(const BlockingSpec& blocking) const override {
     if (blocking.suffix_min_length < 1) {

@@ -12,9 +12,6 @@ namespace gsmb {
 
 namespace {
 
-// Mirrors the pivot chunking of blocking/candidate_pairs.cc.
-constexpr size_t kPivotChunkGrain = 1024;
-
 // A ground-truth match found during the counting sweep, addressed by its
 // (pivot, rank-within-pivot) position so it can be turned into a global
 // candidate index once the prefix sums exist.

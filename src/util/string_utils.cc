@@ -5,59 +5,17 @@
 namespace gsmb {
 
 std::string ToLowerAscii(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    out.push_back(static_cast<char>(
-        std::tolower(static_cast<unsigned char>(c))));
-  }
+  std::string out(s);
+  for (char& c : out) c = LowerAscii(c);
   return out;
 }
 
 std::vector<std::string> TokenizeAlnum(std::string_view s) {
   std::vector<std::string> tokens;
-  std::string cur;
-  for (char c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      cur.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c))));
-    } else if (!cur.empty()) {
-      tokens.push_back(std::move(cur));
-      cur.clear();
-    }
-  }
-  if (!cur.empty()) tokens.push_back(std::move(cur));
+  ForEachAlnumRun(s, [&tokens](std::string_view run) {
+    tokens.push_back(ToLowerAscii(run));
+  });
   return tokens;
-}
-
-std::vector<std::string> QGrams(std::string_view s, size_t q) {
-  std::string lower = ToLowerAscii(s);
-  std::vector<std::string> grams;
-  if (lower.empty() || q == 0) return grams;
-  if (lower.size() <= q) {
-    grams.push_back(lower);
-    return grams;
-  }
-  grams.reserve(lower.size() - q + 1);
-  for (size_t i = 0; i + q <= lower.size(); ++i) {
-    grams.push_back(lower.substr(i, q));
-  }
-  return grams;
-}
-
-std::vector<std::string> Suffixes(std::string_view s, size_t min_len) {
-  std::string lower = ToLowerAscii(s);
-  std::vector<std::string> out;
-  if (lower.empty()) return out;
-  if (lower.size() <= min_len) {
-    out.push_back(lower);
-    return out;
-  }
-  out.reserve(lower.size() - min_len + 1);
-  for (size_t i = 0; i + min_len <= lower.size(); ++i) {
-    out.push_back(lower.substr(i));
-  }
-  return out;
 }
 
 std::string Join(const std::vector<std::string>& parts,

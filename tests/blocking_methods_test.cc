@@ -1,8 +1,15 @@
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "blocking/key_blocking.h"
 #include "blocking/qgram_blocking.h"
 #include "blocking/suffix_blocking.h"
 #include "blocking/token_blocking.h"
@@ -171,6 +178,108 @@ TEST(SuffixBlocking, CapsBlockSize) {
   EXPECT_EQ(bc.size(), 0u);
 }
 
+TEST(SuffixBlocking, CapCountsBothSources) {
+  // 5 + 5 members: within a cap of 8 per source, but 10 members in total,
+  // and the cap counts both sources together.
+  EntityCollection c1;
+  EntityCollection c2;
+  for (int i = 0; i < 5; ++i) {
+    EntityProfile p(std::string{"a"} + std::to_string(i));
+    p.AddAttribute("t", "common");
+    c1.Add(std::move(p));
+    EntityProfile q(std::string{"b"} + std::to_string(i));
+    q.AddAttribute("t", "common");
+    c2.Add(std::move(q));
+  }
+  EXPECT_EQ(
+      SuffixBlocking(/*min_length=*/4, /*max_block_size=*/8).Build(c1, c2)
+          .size(),
+      0u);
+  EXPECT_EQ(
+      SuffixBlocking(/*min_length=*/4, /*max_block_size=*/10).Build(c1, c2)
+          .size(),
+      3u);  // common, ommon, mmon
+}
+
+// ---------------------------------------------------------------------------
+// Key functions, seen through the blocks: a Dirty collection of two copies
+// of one profile turns every key of the profile into one block.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+EntityCollection TwoCopies(const std::string& value) {
+  EntityCollection c;
+  for (const char* id : {"x", "y"}) {
+    EntityProfile p(id);
+    p.AddAttribute("t", value);
+    c.Add(std::move(p));
+  }
+  return c;
+}
+
+std::vector<std::string> KeysOf(const BlockCollection& bc) {
+  std::vector<std::string> keys;
+  for (const Block& b : bc.blocks()) keys.push_back(b.key);
+  return keys;
+}
+
+std::vector<std::string> QGramKeysOf(const std::string& value, size_t q) {
+  return KeysOf(QGramBlocking(q).Build(TwoCopies(value)));
+}
+
+std::vector<std::string> SuffixKeysOf(const std::string& value,
+                                      size_t min_length) {
+  return KeysOf(SuffixBlocking(min_length).Build(TwoCopies(value)));
+}
+
+}  // namespace
+
+TEST(QGrams, BasicTrigrams) {
+  EXPECT_EQ(QGramKeysOf("apple", 3),
+            (std::vector<std::string>{"app", "ple", "ppl"}));
+}
+
+TEST(QGrams, ShortStringYieldsWhole) {
+  EXPECT_EQ(QGramKeysOf("ab", 3), (std::vector<std::string>{"ab"}));
+  EXPECT_EQ(QGramKeysOf("abc", 3), (std::vector<std::string>{"abc"}));
+}
+
+TEST(QGrams, LowercasesInput) {
+  EXPECT_EQ(QGramKeysOf("AbCd", 2),
+            (std::vector<std::string>{"ab", "bc", "cd"}));
+}
+
+TEST(QGrams, EmptyAndZeroQ) {
+  EXPECT_TRUE(QGramKeysOf("", 3).empty());
+  EXPECT_TRUE(QGramKeysOf("-- ,", 3).empty());
+  EXPECT_TRUE(QGramKeysOf("abc", 0).empty());
+}
+
+TEST(QGrams, RepeatedGramsAndTokensKeyOnce) {
+  // "aaaa" has the gram "aa" three times and appears twice; the members
+  // are still the two profiles, once each.
+  const BlockCollection bc = QGramBlocking(2).Build(TwoCopies("aaaa AAAA"));
+  ASSERT_EQ(bc.size(), 1u);
+  EXPECT_EQ(bc[0].key, "aa");
+  EXPECT_EQ(bc[0].left, (std::vector<EntityId>{0, 1}));
+}
+
+TEST(Suffixes, BasicSuffixes) {
+  EXPECT_EQ(SuffixKeysOf("apple", 3),
+            (std::vector<std::string>{"apple", "ple", "pple"}));
+}
+
+TEST(Suffixes, ShortStringYieldsWhole) {
+  EXPECT_EQ(SuffixKeysOf("ab", 4), (std::vector<std::string>{"ab"}));
+  EXPECT_EQ(SuffixKeysOf("Abcd", 4), (std::vector<std::string>{"abcd"}));
+}
+
+TEST(Suffixes, Empty) {
+  EXPECT_TRUE(SuffixKeysOf("", 2).empty());
+  EXPECT_TRUE(SuffixKeysOf("!!", 2).empty());
+}
+
 TEST(BlockCollection, DropEmptyBlocks) {
   BlockCollection bc(/*clean_clean=*/true, 2, 2);
   Block with_pairs;
@@ -196,22 +305,199 @@ TEST(BlockCollection, Totals) {
 
 
 // ---------------------------------------------------------------------------
-// Parallel key extraction: chunk-and-merge must be bit-identical to the
-// serial scan for every key-based blocking method and any thread count.
+// The sort-merge builder against a naive reference: one std::map from key
+// to member sets, filled profile by profile. Every Build must equal it
+// block for block, for any thread count.
 // ---------------------------------------------------------------------------
 
 namespace {
+
+using PlainKeys = std::function<std::vector<std::string>(const EntityProfile&)>;
 
 void ExpectSameCollections(const BlockCollection& a,
                            const BlockCollection& b) {
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.clean_clean(), b.clean_clean());
+  ASSERT_EQ(a.num_left_entities(), b.num_left_entities());
+  ASSERT_EQ(a.num_right_entities(), b.num_right_entities());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].key, b[i].key);
     EXPECT_EQ(a[i].left, b[i].left);
     EXPECT_EQ(a[i].right, b[i].right);
   }
 }
+
+/// The reference builder. `e2` == nullptr builds a Dirty collection.
+BlockCollection ReferenceBlocks(const EntityCollection& e1,
+                                const EntityCollection* e2,
+                                const PlainKeys& keys1,
+                                const PlainKeys& keys2) {
+  std::map<std::string, std::pair<std::set<EntityId>, std::set<EntityId>>>
+      table;
+  for (EntityId id = 0; id < e1.size(); ++id) {
+    for (const std::string& key : keys1(e1[id])) table[key].first.insert(id);
+  }
+  if (e2 != nullptr) {
+    for (EntityId id = 0; id < e2->size(); ++id) {
+      for (const std::string& key : keys2((*e2)[id])) {
+        table[key].second.insert(id);
+      }
+    }
+  }
+  BlockCollection out(e2 != nullptr, e1.size(),
+                      e2 != nullptr ? e2->size() : 0);
+  for (const auto& [key, members] : table) {
+    const bool keep = e2 != nullptr
+                          ? !members.first.empty() && !members.second.empty()
+                          : members.first.size() >= 2;
+    if (!keep) continue;
+    Block block;
+    block.key = key;
+    block.left.assign(members.first.begin(), members.first.end());
+    block.right.assign(members.second.begin(), members.second.end());
+    out.Add(std::move(block));
+  }
+  return out;
+}
+
+/// Each space-separated word of attribute "k" twice, plus every proper
+/// prefix of it: keys repeat within a profile and are prefixes of one
+/// another. `tag` is prepended to every key.
+PlainKeys WordKeys(std::string tag) {
+  return [tag](const EntityProfile& p) {
+    std::vector<std::string> keys;
+    std::string words = p.GetAttribute("k");
+    size_t begin = 0;
+    while (begin < words.size()) {
+      size_t end = words.find(' ', begin);
+      if (end == std::string::npos) end = words.size();
+      const std::string word = words.substr(begin, end - begin);
+      keys.push_back(tag + word);
+      keys.push_back(tag + word);
+      for (size_t length = 1; length < word.size(); ++length) {
+        keys.push_back(tag + word.substr(0, length));
+      }
+      begin = end + 1;
+    }
+    return keys;
+  };
+}
+
+/// Emits `plain`'s keys through the sink three ways: copied, as a view of
+/// a stored copy, and as a view into the middle of a longer stored string.
+KeyFunction ThroughSink(PlainKeys plain) {
+  return [plain](const EntityProfile& p, KeySink* sink) {
+    const std::vector<std::string> keys = plain(p);
+    for (size_t j = 0; j < keys.size(); ++j) {
+      const std::string& key = keys[j];
+      if (j % 3 == 0) {
+        sink->Add(key);
+      } else if (j % 3 == 1) {
+        sink->Emit(sink->Append(key), key.size());
+      } else {
+        sink->Emit(sink->Append("<" + key + ">") + 1, key.size());
+      }
+    }
+  };
+}
+
+/// `count` profiles of one source. Every fifth has no attribute (no keys);
+/// "w*" and "abcd*" words occur in both sources, "<side>*" words in one,
+/// and the UTF-8 words order above ASCII as unsigned bytes.
+EntityCollection WordProfiles(const std::string& side, size_t count) {
+  EntityCollection collection;
+  for (size_t i = 0; i < count; ++i) {
+    EntityProfile p(side + std::to_string(i));
+    if (i % 5 != 4) {
+      p.AddAttribute("k", "w" + std::to_string(i % 7) + " " + side +
+                              std::to_string(i % 4) + " abcd" +
+                              std::to_string(i % 11) + "zz \xc3\xa9t" +
+                              std::to_string(i % 3));
+    }
+    collection.Add(std::move(p));
+  }
+  return collection;
+}
+
+const std::vector<size_t>& EntityCounts() {
+  static const std::vector<size_t> counts{
+      0, 1, kKeyChunkGrain - 1, kKeyChunkGrain, kKeyChunkGrain + 1,
+      4 * kKeyChunkGrain + 37};
+  return counts;
+}
+
+}  // namespace
+
+TEST(KeyBlockingReference, CleanCleanOneKeyFunction) {
+  const PlainKeys plain = WordKeys("");
+  for (size_t n1 : EntityCounts()) {
+    for (size_t n2 : EntityCounts()) {
+      const EntityCollection e1 = WordProfiles("left", n1);
+      const EntityCollection e2 = WordProfiles("right", n2);
+      const BlockCollection reference =
+          ReferenceBlocks(e1, &e2, plain, plain);
+      for (size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << n1 << " x " << n2 << " entities, "
+                                        << threads << " threads");
+        ExpectSameCollections(
+            reference,
+            BuildKeyBlocksCleanClean(e1, e2, ThroughSink(plain), threads));
+      }
+    }
+  }
+}
+
+TEST(KeyBlockingReference, CleanCleanKeyFunctionPerSource) {
+  // Source 2 tags half of its keys' words differently, so only some keys
+  // still meet across the sources.
+  const PlainKeys plain1 = WordKeys("");
+  const PlainKeys plain2 = [](const EntityProfile& p) {
+    std::vector<std::string> keys = WordKeys("")(p);
+    for (size_t j = 0; j < keys.size(); j += 2) keys[j] = "t" + keys[j];
+    return keys;
+  };
+  for (size_t n : EntityCounts()) {
+    const EntityCollection e1 = WordProfiles("left", n);
+    const EntityCollection e2 = WordProfiles("right", n + 3);
+    const BlockCollection reference = ReferenceBlocks(e1, &e2, plain1, plain2);
+    for (size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << n << " entities, " << threads
+                                      << " threads");
+      ExpectSameCollections(
+          reference, BuildKeyBlocksCleanClean(e1, e2, ThroughSink(plain1),
+                                              ThroughSink(plain2), threads));
+    }
+  }
+}
+
+TEST(KeyBlockingReference, Dirty) {
+  const PlainKeys plain = WordKeys("");
+  for (size_t n : EntityCounts()) {
+    const EntityCollection e = WordProfiles("left", n);
+    const BlockCollection reference = ReferenceBlocks(e, nullptr, plain, plain);
+    for (size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << n << " entities, " << threads
+                                      << " threads");
+      ExpectSameCollections(reference,
+                            BuildKeyBlocksDirty(e, ThroughSink(plain), threads));
+    }
+  }
+}
+
+TEST(KeyBlockingReference, KeyOutsideTheArenaThrows) {
+  const EntityCollection e = WordProfiles("left", 3);
+  const KeyFunction bad = [](const EntityProfile&, KeySink* sink) {
+    sink->Emit(sink->Append("ab"), 3);
+  };
+  EXPECT_THROW(BuildKeyBlocksDirty(e, bad, 2), std::out_of_range);
+}
+
+// ---------------------------------------------------------------------------
+// Token, Q-Grams and Suffix blocking: the reference with plain-string key
+// functions, and bit-identical output for any thread count.
+// ---------------------------------------------------------------------------
+
+namespace {
 
 EntityCollection NoisyProfiles(const char* prefix, size_t count,
                                uint64_t salt) {
@@ -228,37 +514,96 @@ EntityCollection NoisyProfiles(const char* prefix, size_t count,
   return collection;
 }
 
+std::vector<std::string> PlainTokenKeys(const EntityProfile& p) {
+  return p.DistinctValueTokens();
+}
+
+std::vector<std::string> PlainQGramKeys(const EntityProfile& p) {
+  constexpr size_t kQ = 3;  // QGramBlocking's default
+  std::vector<std::string> keys;
+  for (const std::string& token : p.DistinctValueTokens()) {
+    if (token.size() <= kQ) {
+      keys.push_back(token);
+      continue;
+    }
+    for (size_t i = 0; i + kQ <= token.size(); ++i) {
+      keys.push_back(token.substr(i, kQ));
+    }
+  }
+  return keys;
+}
+
+std::vector<std::string> PlainSuffixKeys(const EntityProfile& p) {
+  constexpr size_t kMinLength = 4;  // SuffixBlocking's default
+  std::vector<std::string> keys;
+  for (const std::string& token : p.DistinctValueTokens()) {
+    if (token.size() <= kMinLength) {
+      keys.push_back(token);
+      continue;
+    }
+    for (size_t i = 0; i + kMinLength <= token.size(); ++i) {
+      keys.push_back(token.substr(i));
+    }
+  }
+  return keys;
+}
+
+/// SuffixBlocking's default cap: blocks of more than 64 members go.
+BlockCollection CapAt64(BlockCollection bc) {
+  BlockCollection out(bc.clean_clean(), bc.num_left_entities(),
+                      bc.num_right_entities());
+  for (Block& block : bc.mutable_blocks()) {
+    if (block.Size() <= 64) out.Add(std::move(block));
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(ParallelKeyExtraction, TokenBlockingDeterministicAcrossThreadCounts) {
   const EntityCollection e1 = NoisyProfiles("a", 700, 3);
   const EntityCollection e2 = NoisyProfiles("b", 650, 7);
   const BlockCollection serial = TokenBlocking().Build(e1, e2, 1);
+  ExpectSameCollections(
+      ReferenceBlocks(e1, &e2, PlainTokenKeys, PlainTokenKeys), serial);
   for (size_t threads : {2u, 5u, 8u}) {
     ExpectSameCollections(serial, TokenBlocking().Build(e1, e2, threads));
   }
   const BlockCollection dirty_serial = TokenBlocking().Build(e1, 1);
+  ExpectSameCollections(
+      ReferenceBlocks(e1, nullptr, PlainTokenKeys, PlainTokenKeys),
+      dirty_serial);
   ExpectSameCollections(dirty_serial, TokenBlocking().Build(e1, 8));
 }
 
 TEST(ParallelKeyExtraction, QGramBlockingDeterministicAcrossThreadCounts) {
   const EntityCollection e1 = NoisyProfiles("a", 400, 5);
   const EntityCollection e2 = NoisyProfiles("b", 380, 11);
-  ExpectSameCollections(QGramBlocking().Build(e1, e2, 1),
-                        QGramBlocking().Build(e1, e2, 8));
-  ExpectSameCollections(QGramBlocking().Build(e1, 1),
-                        QGramBlocking().Build(e1, 6));
+  const BlockCollection serial = QGramBlocking().Build(e1, e2, 1);
+  ExpectSameCollections(
+      ReferenceBlocks(e1, &e2, PlainQGramKeys, PlainQGramKeys), serial);
+  ExpectSameCollections(serial, QGramBlocking().Build(e1, e2, 8));
+  const BlockCollection dirty_serial = QGramBlocking().Build(e1, 1);
+  ExpectSameCollections(
+      ReferenceBlocks(e1, nullptr, PlainQGramKeys, PlainQGramKeys),
+      dirty_serial);
+  ExpectSameCollections(dirty_serial, QGramBlocking().Build(e1, 6));
 }
 
 TEST(ParallelKeyExtraction, SuffixBlockingDeterministicAcrossThreadCounts) {
   const EntityCollection e1 = NoisyProfiles("a", 400, 13);
   const EntityCollection e2 = NoisyProfiles("b", 420, 17);
-  ExpectSameCollections(SuffixBlocking().Build(e1, e2, 1),
-                        SuffixBlocking().Build(e1, e2, 8));
-  ExpectSameCollections(SuffixBlocking().Build(e1, 1),
-                        SuffixBlocking().Build(e1, 3));
+  const BlockCollection serial = SuffixBlocking().Build(e1, e2, 1);
+  ExpectSameCollections(
+      CapAt64(ReferenceBlocks(e1, &e2, PlainSuffixKeys, PlainSuffixKeys)),
+      serial);
+  ExpectSameCollections(serial, SuffixBlocking().Build(e1, e2, 8));
+  const BlockCollection dirty_serial = SuffixBlocking().Build(e1, 1);
+  ExpectSameCollections(
+      CapAt64(ReferenceBlocks(e1, nullptr, PlainSuffixKeys, PlainSuffixKeys)),
+      dirty_serial);
+  ExpectSameCollections(dirty_serial, SuffixBlocking().Build(e1, 3));
 }
-
 
 }  // namespace
 }  // namespace gsmb

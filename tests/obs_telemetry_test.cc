@@ -181,6 +181,52 @@ TEST(Telemetry, TraceJsonRoundTripsThroughRepoParser) {
   EXPECT_EQ(names, (std::set<std::string>{"prepare", "blocking", "prune"}));
 }
 
+// Engine::Prepare names its layers as perfbench does: `prepare` holds
+// datasets.load, blocking, stream.index_count and obs.digest in that
+// order, and `blocking` holds schemes.build, blocking.purge and
+// blocking.filter.
+TEST(Telemetry, PrepareSpansNameTheLayers) {
+  JobSpec spec;
+  spec.dataset.source = DatasetSource::kGeneratedDirty;
+  spec.dataset.name = "D10K";
+  spec.dataset.scale = 0.03;
+  spec.execution.options.num_threads = 2;
+  const Engine engine;
+
+  obs::TelemetrySink sink;
+  SinkInstallation install(&sink);
+  ASSERT_TRUE(engine.Prepare(spec).ok());
+
+  std::map<std::string, obs::SpanEvent> by_name;
+  for (const obs::SpanEvent& span : sink.Spans()) {
+    EXPECT_EQ(by_name.count(span.name), 0u) << span.name << " twice";
+    by_name[span.name] = span;
+  }
+  const auto expect_inside = [&](const std::vector<std::string>& children,
+                                 const std::string& parent_name) {
+    ASSERT_EQ(by_name.count(parent_name), 1u) << parent_name;
+    const obs::SpanEvent& parent = by_name[parent_name];
+    double previous_start = parent.ts_us;
+    for (const std::string& name : children) {
+      ASSERT_EQ(by_name.count(name), 1u) << name;
+      const obs::SpanEvent& child = by_name[name];
+      EXPECT_EQ(child.tid, parent.tid) << name;
+      EXPECT_EQ(child.depth, parent.depth + 1) << name;
+      EXPECT_GE(child.ts_us, previous_start) << name;
+      EXPECT_LE(child.ts_us + child.dur_us,
+                parent.ts_us + parent.dur_us + 1e-3)
+          << name;
+      previous_start = child.ts_us;
+    }
+  };
+  expect_inside(
+      {"datasets.load", "blocking", "stream.index_count", "obs.digest"},
+      "prepare");
+  expect_inside({"schemes.build", "blocking.purge", "blocking.filter"},
+                "blocking");
+  EXPECT_EQ(by_name["prepare"].depth, 0u);
+}
+
 TEST(Telemetry, MetricsJsonRoundTripsThroughRepoParser) {
   obs::TelemetrySink sink;
   SinkInstallation install(&sink);

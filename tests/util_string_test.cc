@@ -36,36 +36,11 @@ TEST(Tokenize, LeadingTrailingSeparators) {
   EXPECT_EQ(TokenizeAlnum("  x  "), (std::vector<std::string>{"x"}));
 }
 
-TEST(QGrams, BasicTrigrams) {
-  EXPECT_EQ(QGrams("apple", 3),
-            (std::vector<std::string>{"app", "ppl", "ple"}));
+TEST(Tokenize, NonAsciiBytesSeparateTokens) {
+  // UTF-8 bytes are never alphanumeric, whatever the process locale.
+  EXPECT_EQ(TokenizeAlnum("Caf\xc3\xa9 OK"),
+            (std::vector<std::string>{"caf", "ok"}));
 }
-
-TEST(QGrams, ShortStringYieldsWhole) {
-  EXPECT_EQ(QGrams("ab", 3), (std::vector<std::string>{"ab"}));
-  EXPECT_EQ(QGrams("abc", 3), (std::vector<std::string>{"abc"}));
-}
-
-TEST(QGrams, LowercasesInput) {
-  EXPECT_EQ(QGrams("AbCd", 2),
-            (std::vector<std::string>{"ab", "bc", "cd"}));
-}
-
-TEST(QGrams, EmptyAndZeroQ) {
-  EXPECT_TRUE(QGrams("", 3).empty());
-  EXPECT_TRUE(QGrams("abc", 0).empty());
-}
-
-TEST(Suffixes, BasicSuffixes) {
-  EXPECT_EQ(Suffixes("apple", 3),
-            (std::vector<std::string>{"apple", "pple", "ple"}));
-}
-
-TEST(Suffixes, ShortStringYieldsWhole) {
-  EXPECT_EQ(Suffixes("ab", 4), (std::vector<std::string>{"ab"}));
-}
-
-TEST(Suffixes, Empty) { EXPECT_TRUE(Suffixes("", 2).empty()); }
 
 TEST(Join, JoinsWithSeparator) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
