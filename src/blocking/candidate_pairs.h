@@ -8,6 +8,7 @@
 #ifndef GSMB_BLOCKING_CANDIDATE_PAIRS_H_
 #define GSMB_BLOCKING_CANDIDATE_PAIRS_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -40,9 +41,12 @@ struct CandidatePair {
 ///
 /// Order invariant (relied upon by FeatureExtractor): pairs are grouped by
 /// `left` in ascending order and, within a group, sorted by `right`
-/// ascending. Complexity O(Σ ||b|| + |C| log k) where k is the largest
-/// neighbourhood. `num_threads` > 1 parallelises over fixed-grain pivot
-/// chunks; the result is bit-identical to the serial sweep.
+/// ascending. Complexity O(Σ ||b|| + |C|), plus |E|/2^18 words per pivot:
+/// each pivot's neighbours drain from an AscendingIdSet, with no sort.
+/// `num_threads` > 1
+/// parallelises over fixed-grain pivot chunks that workers claim one at a
+/// time (Dirty-ER pivots near the start carry most of the work); the result
+/// is bit-identical to the serial sweep.
 std::vector<CandidatePair> GenerateCandidatePairs(const EntityIndex& index,
                                                   size_t num_threads = 1);
 
@@ -57,12 +61,64 @@ size_t NumCandidatePivots(const EntityIndex& index);
 size_t PivotOfCandidate(const std::vector<uint64_t>& pivot_offsets,
                         uint64_t index);
 
+/// A set of ids below a fixed universe size that drains in ascending order,
+/// with no comparison sort: one leaf bit per id, a summary bit per 64-bit
+/// leaf word that has any bit set, and a top bit per summary word that has
+/// any bit set. Insert is O(1); Drain walks the set bits level by level, so
+/// it visits only non-empty words (plus the |universe|/2^18 top words) and
+/// costs O(ids) whether they are dense or sparse in the universe. Drain
+/// leaves the set empty, so one instance per worker serves pivot after
+/// pivot.
+class AscendingIdSet {
+ public:
+  /// Ids must be below `universe`.
+  explicit AscendingIdSet(size_t universe)
+      : leaves_((universe + 63) / 64, 0),
+        summary_((leaves_.size() + 63) / 64, 0),
+        top_((summary_.size() + 63) / 64, 0) {}
+
+  /// Adds `id`; a repeated id is a no-op.
+  void Insert(uint32_t id) {
+    uint64_t& leaf = leaves_[id >> 6];
+    if (leaf == 0) {
+      uint64_t& summary = summary_[id >> 12];
+      if (summary == 0) top_[id >> 18] |= uint64_t{1} << ((id >> 12) & 63);
+      summary |= uint64_t{1} << ((id >> 6) & 63);
+    }
+    leaf |= uint64_t{1} << (id & 63);
+  }
+
+  /// Calls emit(id) for every id in ascending order and empties the set.
+  template <typename Emit>
+  void Drain(const Emit& emit) {
+    for (size_t t = 0; t < top_.size(); ++t) {
+      for (uint64_t tops = top_[t]; tops != 0; tops &= tops - 1) {
+        const size_t s = t * 64 + std::countr_zero(tops);
+        for (uint64_t live = summary_[s]; live != 0; live &= live - 1) {
+          const size_t leaf = s * 64 + std::countr_zero(live);
+          for (uint64_t bits = leaves_[leaf]; bits != 0; bits &= bits - 1) {
+            emit(static_cast<uint32_t>(leaf * 64 + std::countr_zero(bits)));
+          }
+          leaves_[leaf] = 0;
+        }
+        summary_[s] = 0;
+      }
+      top_[t] = 0;
+    }
+  }
+
+ private:
+  std::vector<uint64_t> leaves_;
+  std::vector<uint64_t> summary_;
+  std::vector<uint64_t> top_;
+};
+
 /// Enumerates one pivot entity's distinct candidate neighbours — the exact
 /// per-pivot step of GenerateCandidatePairs, exposed so shard-scoped
 /// iteration (stream/) can regenerate any contiguous slice of the global
-/// candidate order without materialising the whole set. Holds the
-/// epoch-marked scratch, so one instance per worker thread amortises the
-/// O(|E|) allocation across pivots.
+/// candidate order without materialising the whole set. Holds an
+/// AscendingIdSet over the entities, so one instance per worker thread
+/// amortises the O(|E|/64) allocation across pivots.
 class PivotNeighbourGenerator {
  public:
   explicit PivotNeighbourGenerator(const EntityIndex& index);
@@ -74,8 +130,7 @@ class PivotNeighbourGenerator {
 
  private:
   const EntityIndex& index_;
-  std::vector<uint32_t> last_seen_;
-  uint32_t epoch_ = 0;
+  AscendingIdSet neighbours_;
 };
 
 /// Resolves candidate indices to their pairs without the materialised

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 #include "gsmb/telemetry.h"
@@ -39,6 +41,7 @@ struct Tile {
   double inv_sizes[kTileRows];
   double other_blocks[kTileRows];  // |B_j|
   double values[kTileRows * kFullMatrixCols];
+  double probabilities[kTileRows];
 };
 
 /// Contiguous [begin, end) row ranges sharing one pivot (left) entity.
@@ -111,19 +114,24 @@ class StageClock {
   Stopwatch watch_;
 };
 
-/// Runs fn(begin, end, clock) in parallel over near-equal contiguous pieces
-/// of [0, n), n > 0, one per worker (at most `num_threads`). With `busy`,
-/// each worker's clock tallies its seconds per phase and the tallies are
-/// added to `busy` in piece order.
+/// Number of pieces ForEachPiece splits [0, n) into, n > 0.
+size_t NumPieces(size_t n, size_t num_threads) {
+  return std::min(std::max<size_t>(1, num_threads), n);
+}
+
+/// Runs fn(piece, begin, end, clock) in parallel over near-equal contiguous
+/// pieces of [0, n), n > 0, one per worker (NumPieces of them). With
+/// `busy`, each worker's clock tallies its seconds per phase and the
+/// tallies are added to `busy` in piece order.
 template <typename Fn>
 void ForEachPiece(size_t n, size_t num_threads, obs::PhaseTimings* busy,
                   const Fn& fn) {
-  const size_t pieces = std::min(std::max<size_t>(1, num_threads), n);
+  const size_t pieces = NumPieces(n, num_threads);
   std::vector<obs::PhaseTimings> tallies(pieces);
   ParallelFor(pieces, pieces, [&](size_t first, size_t last) {
     for (size_t p = first; p < last; ++p) {
       StageClock clock(busy != nullptr ? &tallies[p] : nullptr);
-      fn(n * p / pieces, n * (p + 1) / pieces, clock);
+      fn(p, n * p / pieces, n * (p + 1) / pieces, clock);
     }
   });
   if (busy == nullptr) return;
@@ -138,12 +146,15 @@ void ForEachPiece(size_t n, size_t num_threads, obs::PhaseTimings* busy,
 class RowKernel {
  public:
   /// One worker's scratch: the per-neighbour sums, epoch-marked and reused
-  /// across pivots so no allocation happens inside the sweep, and the tile.
+  /// across pivots so no allocation happens inside the sweep, the set the
+  /// pivot's neighbours are collected in, and the tile.
   struct Scratch {
-    explicit Scratch(size_t num_entities) : sums(num_entities) {}
+    explicit Scratch(size_t num_entities)
+        : sums(num_entities), neighbours(num_entities) {}
 
     std::vector<NeighbourSums> sums;
     uint32_t epoch = 0;
+    AscendingIdSet neighbours;
     Tile tile{};
   };
 
@@ -191,11 +202,10 @@ class RowKernel {
   /// (pivot, g) has g > pivot — on Clean-Clean each right global exceeds
   /// any left pivot, so only Dirty ER needs the check, where a pair is
   /// listed under its smaller id — and one neighbour's sums never depend on
-  /// another's. With kCollect, each neighbour is appended to `collected` at
-  /// its first touch.
+  /// another's. With kCollect, each neighbour's global id is inserted into
+  /// scratch->neighbours at its first touch.
   template <bool kCollect>
-  void Accumulate(size_t pivot, Scratch* scratch,
-                  std::vector<uint32_t>* collected) const {
+  void Accumulate(size_t pivot, Scratch* scratch) const {
     const bool clean_clean = index_.clean_clean();
     const uint32_t epoch = ++scratch->epoch;
     NeighbourSums* sums = scratch->sums.data();
@@ -214,7 +224,7 @@ class RowKernel {
         // x >= 0.
         if (s.epoch != epoch) {
           s = NeighbourSums{epoch, 1, inv_cmp, inv_size};
-          if constexpr (kCollect) collected->push_back(other);
+          if constexpr (kCollect) scratch->neighbours.Insert(other);
         } else {
           s.common += 1;
           s.inv_comparisons += inv_cmp;
@@ -336,12 +346,12 @@ void SweepRows(const EntityIndex& index,
   const size_t right_offset = index.num_left();
 
   const std::vector<std::pair<size_t, size_t>> groups = PivotGroups(pairs);
-  ForEachPiece(groups.size(), num_threads, busy, [&](size_t begin, size_t end,
-                                                     StageClock& clock) {
+  ForEachPiece(groups.size(), num_threads, busy,
+               [&](size_t, size_t begin, size_t end, StageClock& clock) {
     RowKernel::Scratch scratch(index.num_entities());
     for (size_t g = begin; g < end; ++g) {
       const size_t pivot = pairs[groups[g].first].left;  // left global == local
-      kernel.Accumulate<false>(pivot, &scratch, nullptr);
+      kernel.Accumulate<false>(pivot, &scratch);
       for (size_t first = groups[g].first; first < groups[g].second;
            first += kTileRows) {
         const size_t count = std::min(kTileRows, groups[g].second - first);
@@ -384,42 +394,61 @@ Matrix FeatureExtractor::Compute(const FeatureSet& set, size_t num_threads,
 std::vector<double> FeatureExtractor::Score(
     const FeatureSet& set, const ProbabilisticClassifier& model,
     size_t num_threads, const std::vector<double>* precomputed_lcp,
-    obs::PhaseTimings* busy) const {
+    obs::PhaseTimings* busy, double floor) const {
   std::vector<double> probabilities(pairs_.size());
   const size_t dims = set.Dimensions();
   SweepRows(index_, pairs_, set, num_threads, precomputed_lcp, busy,
             [&](size_t first, size_t count, const double* values) {
-              for (size_t r = 0; r < count; ++r) {
-                probabilities[first + r] =
-                    model.PredictProbability(values + r * dims);
-              }
+              model.PredictTile(values, count, dims, floor,
+                                probabilities.data() + first);
             });
   return probabilities;
+}
+
+size_t ScoredCandidates::LowerRow(uint64_t index) const {
+  if (indices.empty()) {
+    return index <= first ? 0
+                          : static_cast<size_t>(
+                                std::min<uint64_t>(index - first, size()));
+  }
+  return static_cast<size_t>(
+      std::lower_bound(indices.begin(), indices.end(), index) -
+      indices.begin());
 }
 
 void ScoreCandidateRange(const EntityIndex& index,
                          const std::vector<uint64_t>& pivot_offsets,
                          uint64_t first, uint64_t end, const FeatureSet& set,
-                         const ProbabilisticClassifier& model,
+                         const ProbabilisticClassifier& model, double floor,
                          size_t num_threads,
                          const std::vector<double>* precomputed_lcp,
-                         std::vector<CandidatePair>* pairs,
-                         std::vector<double>* probabilities,
-                         obs::PhaseTimings* busy) {
+                         ScoredCandidates* out, obs::PhaseTimings* busy) {
   assert(first <= end && end <= pivot_offsets.back());
+  // Every row clears a floor <= 0, so it is written in place with an
+  // implicit index; above it, each worker keeps only its rows that clear.
+  const bool keep_all = !(floor > 0.0);
+  if (!keep_all && end > uint64_t{std::numeric_limits<uint32_t>::max()} + 1) {
+    throw std::out_of_range(
+        "ScoreCandidateRange: kept rows carry 32-bit candidate indices");
+  }
   const size_t n = static_cast<size_t>(end - first);
-  pairs->resize(n);
-  probabilities->resize(n);
+  out->first = first;
+  out->indices.clear();
+  // Every row is overwritten, so a reused buffer of the same size is not
+  // cleared first; kept rows are appended after the sweep.
+  out->pairs.resize(keep_all ? n : 0);
+  out->probabilities.resize(keep_all ? n : 0);
   if (n == 0) return;
   const RowKernel kernel(index, set, num_threads, precomputed_lcp);
   const size_t dims = kernel.dims();
   const uint32_t right_offset =
       index.clean_clean() ? static_cast<uint32_t>(index.num_left()) : 0;
+  std::vector<ScoredCandidates> kept(keep_all ? 0 : NumPieces(n, num_threads));
 
   // Split by candidate count: a pivot cut by a piece boundary is swept by
   // both pieces, each emitting its own rows.
-  ForEachPiece(n, num_threads, busy, [&](size_t begin, size_t stop,
-                                         StageClock& clock) {
+  ForEachPiece(n, num_threads, busy, [&](size_t piece, size_t begin,
+                                         size_t stop, StageClock& clock) {
     RowKernel::Scratch scratch(index.num_entities());
     std::vector<uint32_t> neighbours;
     uint64_t row = first + begin;
@@ -430,17 +459,22 @@ void ScoreCandidateRange(const EntityIndex& index,
           std::min<uint64_t>(pivot_offsets[pivot + 1], first + stop);
       if (row >= pivot_stop) continue;  // a pivot without candidates
 
-      // The sweep that accumulates the pivot's sums also finds its
-      // neighbours; sorted, they are PivotNeighbourGenerator's list, so row
-      // pivot_first + i pairs the pivot with neighbours[i].
+      // The sweep that accumulates the pivot's sums also collects its
+      // neighbours; drained ascending, they are PivotNeighbourGenerator's
+      // list, so row pivot_first + i pairs the pivot with neighbours[i].
+      kernel.Accumulate<true>(pivot, &scratch);
       neighbours.clear();
-      kernel.Accumulate<true>(pivot, &scratch, &neighbours);
-      std::sort(neighbours.begin(), neighbours.end());
+      scratch.neighbours.Drain([&](uint32_t g) { neighbours.push_back(g); });
       assert(neighbours.size() == pivot_offsets[pivot + 1] - pivot_first);
-      for (uint64_t i = row; i < pivot_stop; ++i) {
-        (*pairs)[i - first] = {
+      const auto pair_of = [&](uint64_t i) {
+        return CandidatePair{
             static_cast<EntityId>(pivot),
             static_cast<EntityId>(neighbours[i - pivot_first] - right_offset)};
+      };
+      if (keep_all) {
+        for (uint64_t i = row; i < pivot_stop; ++i) {
+          out->pairs[i - first] = pair_of(i);
+        }
       }
       clock.Charge(obs::Phase::kPairs);
 
@@ -451,13 +485,45 @@ void ScoreCandidateRange(const EntityIndex& index,
                     scratch.tile.other);
         kernel.EvaluateTile(pivot, count, &scratch);
         clock.Charge(obs::Phase::kFeatures);
-        double* out = probabilities->data() + (row - first);
-        for (size_t r = 0; r < count; ++r) {
-          out[r] = model.PredictProbability(scratch.tile.values + r * dims);
+        double* probabilities = keep_all
+                                    ? out->probabilities.data() + (row - first)
+                                    : scratch.tile.probabilities;
+        model.PredictTile(scratch.tile.values, count, dims, floor,
+                          probabilities);
+        if (!keep_all) {
+          ScoredCandidates& mine = kept[piece];
+          for (size_t r = 0; r < count; ++r) {
+            if (probabilities[r] >= floor) {
+              mine.indices.push_back(static_cast<uint32_t>(row + r));
+              mine.pairs.push_back(pair_of(row + r));
+              mine.probabilities.push_back(probabilities[r]);
+            }
+          }
         }
         clock.Charge(obs::Phase::kClassify);
         row += count;
       }
+    }
+  });
+  if (keep_all) return;
+
+  // Pieces are ascending and disjoint, so their rows concatenate in order.
+  std::vector<size_t> offsets(kept.size() + 1, 0);
+  for (size_t p = 0; p < kept.size(); ++p) {
+    offsets[p + 1] = offsets[p] + kept[p].size();
+  }
+  out->indices.resize(offsets.back());
+  out->pairs.resize(offsets.back());
+  out->probabilities.resize(offsets.back());
+  ParallelFor(kept.size(), kept.size(), [&](size_t begin, size_t stop) {
+    for (size_t p = begin; p < stop; ++p) {
+      std::copy(kept[p].indices.begin(), kept[p].indices.end(),
+                out->indices.begin() + offsets[p]);
+      std::copy(kept[p].pairs.begin(), kept[p].pairs.end(),
+                out->pairs.begin() + offsets[p]);
+      std::copy(kept[p].probabilities.begin(), kept[p].probabilities.end(),
+                out->probabilities.begin() + offsets[p]);
+      kept[p] = ScoredCandidates();
     }
   });
 }

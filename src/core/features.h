@@ -34,10 +34,15 @@
 //     kept, so scoring |C| candidates never allocates the |C|×d matrix;
 //   * ScoreCandidateRange() is the streaming executor's shard fill: it
 //     needs no pair list at all — the sweep that accumulates a pivot's sums
-//     also collects its neighbours — and emits each candidate's pair and
-//     P(match) for a contiguous slice of the global candidate order.
-// Score() and ScoreCandidateRange() therefore equal PredictBatch(Compute())
-// bit for bit.
+//     also collects its neighbours, which drain in ascending order from an
+//     AscendingIdSet — and emits the pair and P(match) of each candidate of
+//     a contiguous slice of the global candidate order that clears a floor.
+// Both scorers take the validity floor of the pruning that follows: every
+// pruning kind weighs only pairs with P(match) >= floor, so each tile goes
+// through ProbabilisticClassifier::PredictTile, which evaluates the link
+// only for rows that can clear it. Score() and ScoreCandidateRange()
+// therefore equal PredictBatch(Compute()) bit for bit at or above the
+// floor, and for every row at a floor <= 0.
 //
 // Score() parallelises over pivot-entity groups, ScoreCandidateRange() over
 // equal candidate counts (a pivot cut by a boundary is swept by both
@@ -87,17 +92,19 @@ class FeatureExtractor {
   Matrix Compute(const FeatureSet& set, size_t num_threads = 1,
                  const std::vector<double>* precomputed_lcp = nullptr) const;
 
-  /// P(match) of every pair under `model` (fitted on `set`'s columns),
-  /// bit-identical to model.PredictBatch(Compute(set, ...)) without the
-  /// matrix: each row lives in a worker's stack tile only until the model
-  /// has scored it. Workers write disjoint rows of the result. With `busy`,
-  /// the workers' seconds are added to its kFeatures (sums and rows) and
-  /// kClassify (the model) entries.
+  /// P(match) of every pair under `model` (fitted on `set`'s columns)
+  /// without the matrix: each row lives in a worker's stack tile only until
+  /// the model has scored it. Row r equals model.PredictBatch(Compute(set,
+  /// ...))[r] bit for bit wherever that is >= `floor`, and is below `floor`
+  /// elsewhere (ProbabilisticClassifier::PredictTile) — so at a floor <= 0
+  /// every row is bit-identical. Workers write disjoint rows of the result.
+  /// With `busy`, the workers' seconds are added to its kFeatures (sums and
+  /// rows) and kClassify (the model) entries.
   std::vector<double> Score(
       const FeatureSet& set, const ProbabilisticClassifier& model,
       size_t num_threads = 1,
       const std::vector<double>* precomputed_lcp = nullptr,
-      obs::PhaseTimings* busy = nullptr) const;
+      obs::PhaseTimings* busy = nullptr, double floor = 0.0) const;
 
   /// All nine canonical columns (see FeatureSet::FullMatrixColumns()).
   Matrix ComputeAll(size_t num_threads = 1) const {
@@ -113,27 +120,54 @@ class FeatureExtractor {
   const std::vector<CandidatePair>& pairs_;
 };
 
-/// Pairs and P(match) of the global candidates [first, end) in one pass:
-/// the candidate order of GenerateCandidatePairs(index), located through
-/// `pivot_offsets` (prefix sums of the per-pivot candidate counts). Resizes
-/// `pairs` and `probabilities` to end - first and writes candidate i at
-/// i - first; both equal the matching slice of GenerateCandidatePairs and
-/// of FeatureExtractor(index, those pairs).Score(set, model, ...) bit for
-/// bit, for any range and thread count. No pair list and no feature matrix
-/// exist: each pivot's neighbours come from the sweep that accumulates its
-/// sums, and each tile is scored while it is in cache. Work is split
-/// across `num_threads` by candidate count. With `busy`, the workers'
-/// seconds are added to its kPairs (sweep, neighbour sort, pair writes),
-/// kFeatures (rows) and kClassify (the model) entries.
+/// The candidates a range scorer kept, ascending by global candidate index,
+/// as parallel arrays. `indices` is empty when the scorer kept every
+/// candidate of its range (a floor <= 0): row j is then candidate
+/// first + j, so a full range holds 16 bytes per candidate, not 20.
+struct ScoredCandidates {
+  uint64_t first = 0;  ///< the scored range's first global index
+  std::vector<uint32_t> indices;
+  std::vector<CandidatePair> pairs;
+  std::vector<double> probabilities;
+
+  size_t size() const { return pairs.size(); }
+  uint64_t IndexOf(size_t row) const {
+    return indices.empty() ? first + row : indices[row];
+  }
+  /// The first row whose global index is >= `index` (size() if none).
+  size_t LowerRow(uint64_t index) const;
+  /// Bytes the buffers hold (their capacity).
+  size_t Bytes() const {
+    return indices.capacity() * sizeof(uint32_t) +
+           pairs.capacity() * sizeof(CandidatePair) +
+           probabilities.capacity() * sizeof(double);
+  }
+};
+
+/// Pairs and P(match) of the global candidates [first, end) that clear
+/// `floor`, in one pass: the candidate order of GenerateCandidatePairs
+/// (index), located through `pivot_offsets` (prefix sums of the per-pivot
+/// candidate counts). Replaces `out` with the candidates whose P(match) is
+/// >= floor, ascending, each with its global index (which must then be
+/// below 2^32), pair and probability; at a floor <= 0 that is every
+/// candidate, with implicit indices. Each kept pair equals
+/// GenerateCandidatePairs' pair at that index and each kept probability
+/// FeatureExtractor(index, those pairs).Score(set, model, ...) at that
+/// index, bit for bit, for any range and thread count. No pair list and no
+/// feature matrix exist: each pivot's neighbours come from the sweep that
+/// accumulates its sums, and each tile is scored (PredictTile at `floor`)
+/// while it is in cache. Work is split across `num_threads` by candidate
+/// count; above a floor of 0 each worker keeps its rows, which are gathered
+/// into `out` at the end. With `busy`, the workers' seconds are added to
+/// its kPairs (sweep, neighbour drain, pair writes), kFeatures (rows) and
+/// kClassify (the model, kept rows) entries.
 void ScoreCandidateRange(const EntityIndex& index,
                          const std::vector<uint64_t>& pivot_offsets,
                          uint64_t first, uint64_t end, const FeatureSet& set,
-                         const ProbabilisticClassifier& model,
+                         const ProbabilisticClassifier& model, double floor,
                          size_t num_threads,
                          const std::vector<double>* precomputed_lcp,
-                         std::vector<CandidatePair>* pairs,
-                         std::vector<double>* probabilities,
-                         obs::PhaseTimings* busy);
+                         ScoredCandidates* out, obs::PhaseTimings* busy);
 
 /// Feature rows for a few selected candidates — a training sample — in the
 /// order `rows` lists them (the order Fit() sees). `pair_at` resolves a

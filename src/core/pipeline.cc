@@ -231,12 +231,16 @@ MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
   // The fused sweep: every candidate's feature row is scored while it is
   // still in cache, so no |C|×d matrix exists. Features and classify
   // interleave per tile, so the sweep's wall time is split between them by
-  // the workers' busy tallies.
+  // the workers' busy tallies. Pruning weighs only the probabilities at or
+  // above the validity floor, so the sweep evaluates the link only where it
+  // can clear it — unless the job keeps every probability.
   std::vector<double> probabilities;
   {
     obs::FusedPhases phases(&result.phases, obs::Phase::kFeatures);
+    const double floor =
+        config.keep_probabilities ? 0.0 : config.validity_threshold;
     probabilities = extractor.Score(config.features, *trained.model, threads,
-                                    lcp_ptr, phases.busy());
+                                    lcp_ptr, phases.busy(), floor);
   }
   return PruneAndEvaluate(prepared, config, trained, std::move(probabilities),
                           std::move(result));

@@ -325,7 +325,7 @@ class CepAggregator final : public PruningAggregator {
     for (size_t j = 0; j < chunk.count; ++j) {
       if (Valid(chunk.probabilities[j], ctx_)) {
         local.push_back({chunk.probabilities[j],
-                         static_cast<uint32_t>(chunk.first_index + j),
+                         static_cast<uint32_t>(chunk.IndexOf(j)),
                          chunk.pairs[j]});
       }
     }
@@ -409,8 +409,8 @@ class CnpAggregator final : public PruningAggregator {
     for (size_t j = 0; j < chunk.count; ++j) {
       const double p = chunk.probabilities[j];
       if (!Valid(p, ctx_)) continue;
-      const HeapEntry entry{
-          p, static_cast<uint32_t>(chunk.first_index + j), chunk.pairs[j]};
+      const HeapEntry entry{p, static_cast<uint32_t>(chunk.IndexOf(j)),
+                            chunk.pairs[j]};
       offers.push_back({static_cast<uint32_t>(LeftNode(entry.pair)), entry});
       offers.push_back(
           {static_cast<uint32_t>(RightNode(entry.pair, ctx_)), entry});

@@ -23,6 +23,12 @@
 //      pairs it kept from the first sweep; it sweeps the candidates a
 //      second time only when those overflow their memory cap.
 //
+// Every aggregator skips the rows below the validity threshold, so a chunk
+// may hold only the rows at or above it (the streaming path's shards hold
+// nothing else), each carrying its global index: every aggregator then
+// folds exactly the rows it would fold from the full chunk, in the same
+// order.
+//
 // The batch path materialises all pairs and calls PruneWithAggregator; the
 // streaming path feeds the same aggregator one shard-sized slice of chunks
 // at a time and folds after each shard, which is the identical fold
@@ -41,16 +47,24 @@
 
 namespace gsmb {
 
-/// One deterministic chunk of the candidate space. `first_index` is the
-/// GLOBAL candidate index of `pairs[0]`; in the batch path it equals the
-/// offset into the full arrays, in the streaming path the arrays are
-/// shard-local slices and only `first_index` carries the global position.
+/// One deterministic chunk of the candidate space: its rows in ascending
+/// global candidate index. Without `indices` the chunk is whole and row j
+/// is candidate `first_index` + j (in the batch path the offset into the
+/// full arrays; in the streaming path the arrays are shard-local slices).
+/// With `indices`, row j is candidate indices[j], and the chunk may omit
+/// any rows below the validity threshold.
 struct PairChunkView {
   size_t chunk_index = 0;  ///< position in the global chunk table
   size_t first_index = 0;  ///< global candidate index of pairs[0]
+  const uint32_t* indices = nullptr;  ///< per-row global indices, optional
   const CandidatePair* pairs = nullptr;
   const double* probabilities = nullptr;
   size_t count = 0;
+
+  /// Global candidate index of row j.
+  size_t IndexOf(size_t j) const {
+    return indices != nullptr ? indices[j] : first_index + j;
+  }
 };
 
 /// A candidate with its pair and the probability that retained it, so

@@ -1,5 +1,8 @@
 #include "ml/classifier.h"
 
+#include <cmath>
+#include <limits>
+
 #include "ml/linear_svc.h"
 #include "ml/naive_bayes.h"
 #include "ml/logistic_regression.h"
@@ -17,6 +20,20 @@ const char* ClassifierKindName(ClassifierKind kind) {
       return "GaussianNaiveBayes";
   }
   return "unknown";
+}
+
+void ProbabilisticClassifier::PredictTile(const double* rows, size_t count,
+                                          size_t dims, double /*floor*/,
+                                          double* out) const {
+  for (size_t r = 0; r < count; ++r) out[r] = PredictProbability(rows + r * dims);
+}
+
+double LogisticFloorCut(double floor) {
+  if (!(floor > 1e-300 && floor < 1.0)) {
+    return -std::numeric_limits<double>::infinity();
+  }
+  const double below = floor * (1.0 - 0x1p-30);
+  return std::log(below / (1.0 - below));
 }
 
 std::vector<double> ProbabilisticClassifier::PredictBatch(

@@ -37,6 +37,20 @@ class ProbabilisticClassifier {
   /// P(match) for one *raw* (unscaled) feature row of the fitted width.
   virtual double PredictProbability(const double* row) const = 0;
 
+  /// P(match) of a tile of `count` raw rows, row-major with stride `dims`
+  /// (row r starts at rows + r * dims), into out[0, count). The pruning
+  /// algorithms weigh only pairs at or above a validity floor, so a row
+  /// whose probability is at or above `floor` gets exactly
+  /// PredictProbability's bits, and any other row a value strictly below
+  /// `floor`. A floor <= 0 or >= 1 cuts nothing: every row gets
+  /// PredictProbability's bits. The default loops PredictProbability; the
+  /// linear models compute each row's decision value with the same
+  /// operations in the same order, and evaluate the link only for rows
+  /// whose decision value can clear the floor (LogisticFloorCut), writing
+  /// 0 for the rest.
+  virtual void PredictTile(const double* rows, size_t count, size_t dims,
+                           double floor, double* out) const;
+
   /// P(match) for every row of `x`. Rows are independent, so
   /// `num_threads` > 1 parallelises with bit-identical results.
   std::vector<double> PredictBatch(const Matrix& x,
@@ -49,6 +63,13 @@ class ProbabilisticClassifier {
 
   virtual std::string Name() const = 0;
 };
+
+/// The decision value below which the logistic link 1 / (1 + e^-z), as
+/// LogisticRegression::Sigmoid and PlattScaler::Transform evaluate it, is
+/// certainly below `floor`: every z below the cut has a true probability
+/// under floor · (1 − 2^-30), a margin about a million times the link's
+/// rounding error. −∞ (nothing is cut) unless 1e-300 < floor < 1.
+double LogisticFloorCut(double floor);
 
 /// Factory. `seed` feeds any stochastic part of training (e.g. SGD
 /// shuffling); both provided models are deterministic given the seed.

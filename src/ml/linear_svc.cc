@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ml/linear_tile.h"
+
 namespace gsmb {
 
 namespace {
@@ -116,6 +118,20 @@ double LinearSvc::DecisionValue(const double* row) const {
 
 double LinearSvc::PredictProbability(const double* row) const {
   return platt_.Transform(DecisionValue(row));
+}
+
+void LinearSvc::PredictTile(const double* rows, size_t count, size_t dims,
+                            double floor, double* out) const {
+  assert(scaler_.fitted());
+  // Transform(f) is the logistic link of -(A f + B): the link only where
+  // that can clear the floor.
+  const double cut = LogisticFloorCut(floor);
+  const double a = platt_.a();
+  const double b = platt_.b();
+  PredictLinearTile(
+      rows, count, dims, intercept_, weights_, scaler_,
+      [&](double f) { return -(a * f + b) < cut ? 0.0 : platt_.Transform(f); },
+      out);
 }
 
 std::vector<double> LinearSvc::CoefficientsWithIntercept() const {

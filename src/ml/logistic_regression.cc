@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ml/linear_tile.h"
+
 namespace gsmb {
 
 double LogisticRegression::Sigmoid(double z) {
@@ -96,6 +98,17 @@ double LogisticRegression::PredictProbability(const double* row) const {
     z += weights_[c] * (row[c] - mean[c]) / std[c];
   }
   return Sigmoid(z);
+}
+
+void LogisticRegression::PredictTile(const double* rows, size_t count,
+                                     size_t dims, double floor,
+                                     double* out) const {
+  assert(scaler_.fitted());
+  // The link only where the decision value can clear the floor.
+  const double cut = LogisticFloorCut(floor);
+  PredictLinearTile(
+      rows, count, dims, intercept_, weights_, scaler_,
+      [cut](double z) { return z < cut ? 0.0 : Sigmoid(z); }, out);
 }
 
 std::vector<double> LogisticRegression::CoefficientsWithIntercept() const {

@@ -33,6 +33,8 @@ class LogisticRegression : public ProbabilisticClassifier {
 
   void Fit(const Matrix& x, const std::vector<int>& labels) override;
   double PredictProbability(const double* row) const override;
+  void PredictTile(const double* rows, size_t count, size_t dims, double floor,
+                   double* out) const override;
   std::vector<double> CoefficientsWithIntercept() const override;
   std::string Name() const override { return "LogisticRegression"; }
 

@@ -1,5 +1,6 @@
 #include "stream/streaming_dataset.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -32,32 +33,48 @@ StreamingDataset FinishStreamingPreparation(const std::string& name,
   prep.index = std::make_unique<EntityIndex>(prep.blocks, num_threads);
   prep.stats = ComputeBlockStats(prep.blocks);
 
-  // One counting sweep: per-pivot candidate counts plus the positions of
-  // the ground-truth matches among them. Chunk-owned outputs concatenate
-  // in chunk order, so both results are identical for any thread count.
+  // The ground-truth matches by (pivot, partner), ascending: a pivot's
+  // partners are found by binary search in its ascending neighbour list,
+  // instead of a hash probe per candidate.
   const EntityIndex& index = *prep.index;
   const size_t num_pivots = NumCandidatePivots(index);
+  std::vector<MatchPair> matches = prep.ground_truth.pairs();
+  std::sort(matches.begin(), matches.end(),
+            [](const MatchPair& a, const MatchPair& b) {
+              return a.left != b.left ? a.left < b.left : a.right < b.right;
+            });
+
+  // One counting sweep: per-pivot candidate counts plus the positions of
+  // the ground-truth matches among them. Workers claim pivot chunks one at
+  // a time (Dirty-ER pivots near the start carry most of the pairs), and
+  // chunk-owned outputs concatenate in chunk order, so both results are
+  // identical for any thread count.
   std::vector<uint64_t> counts(num_pivots, 0);
   const std::vector<ChunkRange> chunks =
       DeterministicChunks(num_pivots, kPivotChunkGrain);
   std::vector<std::vector<LocalPositive>> positive_parts(chunks.size());
-  ParallelFor(chunks.size(), num_threads,
-              [&](size_t chunks_begin, size_t chunks_end) {
-                PivotNeighbourGenerator generator(index);
-                std::vector<EntityId> neighbours;
-                for (size_t c = chunks_begin; c < chunks_end; ++c) {
-                  for (size_t p = chunks[c].begin; p < chunks[c].end; ++p) {
-                    generator.Generate(p, &neighbours);
-                    counts[p] = neighbours.size();
-                    for (size_t rank = 0; rank < neighbours.size(); ++rank) {
-                      if (prep.ground_truth.IsMatch(
-                              static_cast<EntityId>(p), neighbours[rank])) {
-                        positive_parts[c].push_back({p, rank});
-                      }
-                    }
-                  }
-                }
-              });
+  ParallelClaim(chunks.size(), num_threads, [&](const auto& next) {
+    PivotNeighbourGenerator generator(index);
+    std::vector<EntityId> neighbours;
+    for (size_t c; next(&c);) {
+      for (size_t p = chunks[c].begin; p < chunks[c].end; ++p) {
+        generator.Generate(p, &neighbours);
+        counts[p] = neighbours.size();
+        // Partners ascending => ranks ascending within the pivot.
+        auto match = std::lower_bound(
+            matches.begin(), matches.end(), p,
+            [](const MatchPair& m, size_t pivot) { return m.left < pivot; });
+        for (; match != matches.end() && match->left == p; ++match) {
+          const auto it = std::lower_bound(neighbours.begin(),
+                                           neighbours.end(), match->right);
+          if (it != neighbours.end() && *it == match->right) {
+            positive_parts[c].push_back(
+                {p, static_cast<uint64_t>(it - neighbours.begin())});
+          }
+        }
+      }
+    }
+  });
 
   prep.pivot_offsets.resize(num_pivots + 1, 0);
   for (size_t p = 0; p < num_pivots; ++p) {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "core/features.h"
 #include "core/pruning_aggregates.h"
@@ -15,89 +15,45 @@ namespace gsmb {
 
 namespace {
 
-/// A weight-based kind's above-floor pairs from sweep 1, one part per shard,
-/// ascending by global index. Every weight-based Keep() is false below the
-/// validity threshold, so emission applies the finalized Keep() to these
-/// instead of filling every shard again. Holds at most `max_entries`
-/// entries, each part allocated once at its exact size; the shard that
-/// would pass that drops the list for good (overflowed()), and emission
-/// falls back to a second fill.
+/// A weight-based kind's kept rows of every shard but the resident last
+/// one, each shard's rows ascending by global index. Every weight-based
+/// Keep() is false below the validity threshold, so emission applies the
+/// finalized Keep() to these rows and to the resident shard's instead of
+/// filling every shard again. A shard's rows join the list whole — the
+/// arena's buffers move in, nothing is copied — while the list stays within
+/// `max_bytes`; the shard that would pass that drops the list for good
+/// (overflowed()), and emission falls back to a second fill.
 class SurvivorList {
  public:
-  explicit SurvivorList(size_t max_entries) : max_entries_(max_entries) {}
+  explicit SurvivorList(size_t max_bytes) : max_bytes_(max_bytes) {}
 
   bool overflowed() const { return overflowed_; }
-  const std::vector<std::vector<RetainedCandidate>>& parts() const {
-    return parts_;
-  }
+  const std::vector<ScoredCandidates>& parts() const { return parts_; }
 
-  /// Appends the pairs with P >= `floor` of the shard whose first global
-  /// candidate index is `first_index`: chunks are counted, then copied to
-  /// their offsets in the part, both in parallel.
-  void Append(size_t first_index, const std::vector<CandidatePair>& pairs,
-              const std::vector<double>& probabilities, double floor,
-              size_t num_threads) {
+  /// Takes the shard's rows, leaving `shard` empty, or drops the list when
+  /// they do not fit.
+  void Take(ScoredCandidates* shard) {
     if (overflowed_) return;
-    const auto above_floor = [floor](double p) { return p >= floor; };
-    const std::vector<ChunkRange> chunks =
-        DeterministicChunks(probabilities.size());
-    std::vector<size_t> offsets(chunks.size() + 1, 0);
-    ParallelFor(chunks.size(), num_threads, [&](size_t begin, size_t end) {
-      for (size_t c = begin; c < end; ++c) {
-        offsets[c + 1] = static_cast<size_t>(
-            std::count_if(probabilities.begin() + chunks[c].begin,
-                          probabilities.begin() + chunks[c].end, above_floor));
-      }
-    });
-    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-    const size_t count = offsets.back();
-    if (count > max_entries_ - size_) {
-      std::vector<std::vector<RetainedCandidate>>().swap(parts_);
+    if (shard->Bytes() > max_bytes_ - bytes_) {
+      std::vector<ScoredCandidates>().swap(parts_);
       overflowed_ = true;
     } else {
-      std::vector<RetainedCandidate>& part = parts_.emplace_back(count);
-      ParallelFor(chunks.size(), num_threads, [&](size_t begin, size_t end) {
-        for (size_t c = begin; c < end; ++c) {
-          size_t out = offsets[c];
-          for (size_t local = chunks[c].begin; local < chunks[c].end;
-               ++local) {
-            if (above_floor(probabilities[local])) {
-              part[out++] = {static_cast<uint32_t>(first_index + local),
-                             pairs[local], probabilities[local]};
-            }
-          }
-        }
-      });
-      size_ += count;
+      bytes_ += shard->Bytes();
+      parts_.push_back(std::move(*shard));
+      *shard = ScoredCandidates();
     }
     // The most the list has held: it never grows past an overflow.
-    obs::GaugeMax("survivors.bytes.peak",
-                  static_cast<double>(size_ * sizeof(RetainedCandidate)));
+    obs::GaugeMax("survivors.bytes.peak", static_cast<double>(bytes_));
   }
 
  private:
-  size_t max_entries_;
-  size_t size_ = 0;
-  std::vector<std::vector<RetainedCandidate>> parts_;
+  size_t max_bytes_;
+  size_t bytes_ = 0;
+  std::vector<ScoredCandidates> parts_;
   bool overflowed_ = false;
 };
 
 }  // namespace
-
-struct StreamingExecutor::ShardArena {
-  static constexpr size_t kBytesPerPair =
-      sizeof(CandidatePair) + sizeof(double);
-
-  std::vector<CandidatePair> pairs;
-  std::vector<double> probabilities;
-
-  /// Bytes the arena's buffers hold (capacity: they are reused across
-  /// shards, so this is the high-water mark so far).
-  size_t Bytes() const {
-    return pairs.capacity() * sizeof(CandidatePair) +
-           probabilities.capacity() * sizeof(double);
-  }
-};
 
 StreamingExecutor::StreamingExecutor(const StreamingDataset& dataset,
                                      StreamingOptions options)
@@ -150,7 +106,7 @@ void StreamingExecutor::FillArena(const ShardSlice& shard,
                                   const MetaBlockingConfig& config,
                                   const ProbabilisticClassifier& model,
                                   const std::vector<double>* lcp,
-                                  ShardArena* arena,
+                                  ScoredCandidates* arena,
                                   StreamingResult* timings) const {
   // Pairs, features and classify interleave per pivot tile inside each
   // worker, so the fill's wall time is split over the three phases by the
@@ -159,8 +115,9 @@ void StreamingExecutor::FillArena(const ShardSlice& shard,
     obs::FusedPhases phases(&timings->phases, obs::Phase::kPairs);
     ScoreCandidateRange(*dataset_.index, dataset_.pivot_offsets,
                         shard.first_index, shard.end_index, config.features,
-                        model, config.execution.num_threads, lcp,
-                        &arena->pairs, &arena->probabilities, phases.busy());
+                        model, config.validity_threshold,
+                        config.execution.num_threads, lcp, arena,
+                        phases.busy());
   }
   obs::GaugeMax("arena.bytes.peak", static_cast<double>(arena->Bytes()));
 }
@@ -213,60 +170,21 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
 
   std::unique_ptr<PruningAggregator> aggregator =
       MakePruningAggregator(config.pruning, chunks.size(), context);
-  ShardArena arena;
-  // A weight-based kind spread over several shards keeps its above-floor
-  // pairs for emission, in at most one full arena's bytes. (At one shard
-  // the arena itself stays resident.)
+  const size_t threads = config.execution.num_threads;
+  // The resident shard: the candidates its fill kept, those at or above
+  // the validity threshold (every candidate at a threshold <= 0).
+  ScoredCandidates arena;
+  // Weight-based kinds keep every shard's rows but the last for emission.
+  // Those may hold (StreamingArenaBytesPerPair(1) - kKeptRowBytes) bytes per
+  // candidate of the largest shard, so with a fill of kKeptRowBytes per
+  // candidate at most, arena and survivors stay within the planning model.
   std::optional<SurvivorList> survivors;
   if (aggregator->needs_accumulation() &&
-      !aggregator->emits_from_aggregates() && shards.size() > 1) {
-    survivors.emplace(result.max_shard_candidates * ShardArena::kBytesPerPair /
-                      sizeof(RetainedCandidate));
+      !aggregator->emits_from_aggregates()) {
+    survivors.emplace((StreamingArenaBytesPerPair(1) - kKeptRowBytes) *
+                      result.max_shard_candidates);
   }
 
-  // ---- Sweep 1: accumulate per-chunk aggregates, folding after each
-  // shard — the identical fold sequence PruneWithAggregator performs. ----
-  if (aggregator->needs_accumulation()) {
-    ++result.sweeps;
-    for (const ShardSlice& shard : shards) {
-      FillArena(shard, config, model, lcp_ptr, &arena, &result);
-      obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
-      // Per-shard accumulate+fold latency feeds the fold-time histogram the
-      // streaming bench reports percentiles from.
-      GSMB_SPAN("shard.fold", "stream.shard.fold_us");
-      const size_t shard_chunks = shard.chunk_end - shard.chunk_begin;
-      ParallelFor(shard_chunks, config.execution.num_threads,
-                  [&](size_t begin, size_t end) {
-                    std::unique_ptr<AggregatorScratch> scratch =
-                        aggregator->MakeScratch();
-                    for (size_t sc = begin; sc < end; ++sc) {
-                      const size_t c = shard.chunk_begin + sc;
-                      PairChunkView view;
-                      view.chunk_index = c;
-                      view.first_index = chunks[c].begin;
-                      view.pairs = arena.pairs.data() +
-                                   (chunks[c].begin - shard.first_index);
-                      view.probabilities =
-                          arena.probabilities.data() +
-                          (chunks[c].begin - shard.first_index);
-                      view.count = chunks[c].end - chunks[c].begin;
-                      aggregator->AccumulateChunk(view, scratch.get());
-                    }
-                  });
-      aggregator->FoldChunks(shard.chunk_begin, shard.chunk_end);
-      if (survivors) {
-        survivors->Append(shard.first_index, arena.pairs, arena.probabilities,
-                          context.validity_threshold,
-                          config.execution.num_threads);
-      }
-    }
-    {
-      obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
-      aggregator->Finalize();
-    }
-  }
-
-  // ---- Emit the retained set, ascending by global index. ----
   size_t retained_count = 0;
   size_t true_positives = 0;
   auto emit = [&](uint32_t idx, const CandidatePair& pair,
@@ -278,7 +196,74 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
     if (config.keep_retained) result.retained_indices.push_back(idx);
     if (sink) sink(idx, pair, probability);
   };
+  // Applies the finalized Keep() to kept rows in parallel over fixed row
+  // ranges, then emits the accepted ones in row order: ascending.
+  const auto emit_kept = [&](const ScoredCandidates& rows) {
+    const std::vector<ChunkRange> ranges = DeterministicChunks(rows.size());
+    std::vector<std::vector<uint32_t>> accepted(ranges.size());
+    ParallelFor(ranges.size(), threads, [&](size_t begin, size_t end) {
+      for (size_t r = begin; r < end; ++r) {
+        for (size_t j = ranges[r].begin; j < ranges[r].end; ++j) {
+          if (aggregator->Keep(rows.IndexOf(j), rows.pairs[j],
+                               rows.probabilities[j])) {
+            accepted[r].push_back(static_cast<uint32_t>(j));
+          }
+        }
+      }
+    });
+    for (const std::vector<uint32_t>& part : accepted) {
+      for (uint32_t j : part) {
+        emit(static_cast<uint32_t>(rows.IndexOf(j)), rows.pairs[j],
+             rows.probabilities[j]);
+      }
+    }
+  };
 
+  // ---- Sweep 1: accumulate per-chunk aggregates, folding after each
+  // shard — the identical fold sequence PruneWithAggregator performs. A
+  // chunk's view holds the chunk's kept rows, which are every row the
+  // aggregator folds. BCl needs no aggregates and emits each shard's kept
+  // rows as it goes. ----
+  ++result.sweeps;
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const ShardSlice& shard = shards[s];
+    FillArena(shard, config, model, lcp_ptr, &arena, &result);
+    obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
+    if (!aggregator->needs_accumulation()) {
+      emit_kept(arena);
+      continue;
+    }
+    {
+      // Per-shard accumulate+fold latency feeds the fold-time histogram the
+      // streaming bench reports percentiles from.
+      GSMB_SPAN("shard.fold", "stream.shard.fold_us");
+      const size_t shard_chunks = shard.chunk_end - shard.chunk_begin;
+      ParallelFor(shard_chunks, threads, [&](size_t begin, size_t end) {
+        std::unique_ptr<AggregatorScratch> scratch = aggregator->MakeScratch();
+        for (size_t sc = begin; sc < end; ++sc) {
+          const size_t c = shard.chunk_begin + sc;
+          const size_t row = arena.LowerRow(chunks[c].begin);
+          PairChunkView view;
+          view.chunk_index = c;
+          view.first_index = chunks[c].begin;
+          view.indices =
+              arena.indices.empty() ? nullptr : arena.indices.data() + row;
+          view.pairs = arena.pairs.data() + row;
+          view.probabilities = arena.probabilities.data() + row;
+          view.count = arena.LowerRow(chunks[c].end) - row;
+          aggregator->AccumulateChunk(view, scratch.get());
+        }
+      });
+      aggregator->FoldChunks(shard.chunk_begin, shard.chunk_end);
+    }
+    if (survivors && s + 1 < shards.size()) survivors->Take(&arena);
+  }
+  if (aggregator->needs_accumulation()) {
+    obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
+    aggregator->Finalize();
+  }
+
+  // ---- Emit the retained set, ascending by global index. ----
   if (aggregator->emits_from_aggregates()) {
     // Cardinality kinds: the folded top-k structures hold the retained
     // candidates, pairs included.
@@ -287,53 +272,19 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
       emit(c.index, c.pair, c.probability);
     }
   } else if (survivors && !survivors->overflowed()) {
-    // Weight-based kinds: the finalized thresholds apply to sweep 1's
-    // above-floor pairs, which are every pair Keep() can accept.
+    // Weight-based kinds: the finalized thresholds apply to the kept rows
+    // of sweep 1, which are every pair Keep() can accept — the earlier
+    // shards' from the survivor list, the last shard's from the arena.
     obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
-    for (const std::vector<RetainedCandidate>& part : survivors->parts()) {
-      for (const RetainedCandidate& c : part) {
-        if (aggregator->Keep(c.index, c.pair, c.probability)) {
-          emit(c.index, c.pair, c.probability);
-        }
-      }
-    }
-  } else {
-    // BCl's only sweep, or the weight-based kinds' second sweep when their
-    // survivors overflowed: fill each shard and apply Keep(); per-chunk
-    // keeps merge in chunk order, so emission is ascending and equals the
-    // batch ChunkedRetain exactly. A single shard filled by sweep 1 is
-    // still resident: the thresholds apply to it as it is, and no second
-    // fill is needed.
-    const bool resident =
-        shards.size() == 1 && aggregator->needs_accumulation();
-    if (!resident) ++result.sweeps;
+    for (const ScoredCandidates& part : survivors->parts()) emit_kept(part);
+    emit_kept(arena);
+  } else if (survivors) {
+    // The survivors overflowed: fill each shard again and apply Keep().
+    ++result.sweeps;
     for (const ShardSlice& shard : shards) {
-      if (!resident) {
-        FillArena(shard, config, model, lcp_ptr, &arena, &result);
-      }
+      FillArena(shard, config, model, lcp_ptr, &arena, &result);
       obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
-      const size_t shard_chunks = shard.chunk_end - shard.chunk_begin;
-      std::vector<std::vector<uint32_t>> parts(shard_chunks);
-      ParallelFor(shard_chunks, config.execution.num_threads,
-                  [&](size_t begin, size_t end) {
-                    for (size_t sc = begin; sc < end; ++sc) {
-                      const size_t c = shard.chunk_begin + sc;
-                      for (size_t i = chunks[c].begin; i < chunks[c].end;
-                           ++i) {
-                        const size_t local = i - shard.first_index;
-                        if (aggregator->Keep(i, arena.pairs[local],
-                                             arena.probabilities[local])) {
-                          parts[sc].push_back(static_cast<uint32_t>(i));
-                        }
-                      }
-                    }
-                  });
-      for (const std::vector<uint32_t>& part : parts) {
-        for (uint32_t idx : part) {
-          const size_t local = idx - shard.first_index;
-          emit(idx, arena.pairs[local], arena.probabilities[local]);
-        }
-      }
+      emit_kept(arena);
     }
   }
 

@@ -5,14 +5,18 @@
 // and the probability vector in RAM at once — O(|C|) each, which caps it
 // well below the paper's X10 scalability series. The executor instead
 // slices the GLOBAL candidate order into contiguous, chunk-aligned shards
-// and drains them one at a time through a reusable arena that holds only
-// the shard's pairs and probabilities:
+// and drains them one at a time through an arena that holds only the
+// shard's kept rows — the candidates at or above the validity threshold,
+// the only ones any pruning kind weighs, each with its global index, pair
+// and probability (at a threshold <= 0, every candidate, indices
+// implicit):
 //
 //   fill the arena in one pass (ScoreCandidateRange, core/features.h:
 //   each pivot's blocks are swept once, yielding its neighbours and their
-//   feature sums; each tile of rows is scored while it is in cache)
-//   -> feed the shard's chunks to the pruning aggregator -> fold
-//   -> next shard
+//   feature sums; each tile of rows is scored while it is in cache, the
+//   link evaluated only where it can clear the threshold)
+//   -> feed the shard's chunks of kept rows to the pruning aggregator
+//   -> fold -> next shard
 //
 // No per-shard feature matrix exists. The fill's pairs, features and
 // classify phases interleave inside each worker, so their seconds are
@@ -20,12 +24,15 @@
 //
 // Pruning algorithms that need global per-entity state (WEP's mean, WNP's
 // and BLAST's per-node aggregates) can only decide after the last fold.
-// Their Keep() is false below the validity threshold, so sweep 1 also keeps
-// each shard's above-floor pairs in a survivor list, and emission applies
-// the finalized thresholds to it (at one shard the arena itself is still
-// resident). The survivor list is capped at one full arena's bytes; when it
-// overflows (always, for a validity threshold <= 0) it is dropped and a
-// second sweep re-scores each shard instead. BCl needs one sweep, and the
+// Their Keep() is false below the validity threshold, so a shard's kept
+// rows are every pair they can accept: each shard's rows but the last move
+// into a survivor list, and emission applies the finalized thresholds to
+// the list and to the resident last shard (at one shard, to the arena
+// alone). The list is capped so that it and one arena stay within
+// StreamingArenaBytesPerPair(1) bytes per candidate of the largest shard;
+// when it overflows (always, for a validity threshold <= 0 over more than
+// one shard) it is dropped and a second sweep re-scores each shard
+// instead. BCl emits each shard's kept rows during the one sweep, and the
 // cardinality kinds (CEP/CNP/RCNP) emit straight from their folded top-k
 // structures, whose entries carry their pairs. Peak memory is O(largest
 // shard + |E| + aggregates), never O(|C|).
@@ -61,6 +68,7 @@
 #include <vector>
 
 #include "blocking/candidate_pairs.h"
+#include "core/features.h"
 #include "core/pipeline.h"
 #include "stream/streaming_dataset.h"
 
@@ -72,11 +80,13 @@ namespace gsmb {
 /// batch vs streaming — one function so the two can never drift apart.
 ///
 /// An upper bound: it counts a feature row (8·d bytes) per pair that the
-/// arena does not hold — the arena holds only the pair and its
-/// probability (16 bytes). The model also covers the weight-based kinds'
-/// survivor list, which is capped at one full arena's bytes: arena and
-/// survivors together hold at most 32 bytes per pair, within 24 + 8·d for
-/// every d >= 1. Shrinking the model would move `auto`'s choice and the
+/// arena does not hold — the arena holds at most a kept row per candidate
+/// (kKeptRowBytes; 16 bytes when every candidate is kept and indices are
+/// implicit). The model also covers the weight-based kinds' survivor list,
+/// which is capped at the rest of StreamingArenaBytesPerPair(1): arena and
+/// survivors together hold at most 32 bytes per candidate of the largest
+/// shard, within 24 + 8·d for every d >= 1. Shrinking the model would move
+/// `auto`'s choice and the
 /// shard counts of budgeted runs: the 20,531-candidate fixture of
 /// EngineAuto.TinyBudgetResolvesToStreamingWithSameAnswer needs 1.15 MB at
 /// 56 B/pair but 0.49 MB at 24 B/pair against its 1 MiB budget, so it
@@ -84,6 +94,11 @@ namespace gsmb {
 inline constexpr uint64_t StreamingArenaBytesPerPair(size_t feature_dims) {
   return sizeof(CandidatePair) + 8ull * feature_dims + 8 + 8;
 }
+
+/// Bytes of one kept row with its index: the 32-bit global candidate index,
+/// the pair and the probability (ScoredCandidates, core/features.h).
+inline constexpr size_t kKeptRowBytes =
+    sizeof(uint32_t) + sizeof(CandidatePair) + sizeof(double);
 
 struct StreamingOptions {
   /// Number of contiguous, chunk-aligned slices of the candidate space.
@@ -123,7 +138,7 @@ struct StreamingResult {
 
   // Execution shape, for benches and diagnostics.
   size_t num_shards_used = 0;
-  size_t max_shard_candidates = 0;  ///< arena high-water mark, in pairs
+  size_t max_shard_candidates = 0;  ///< candidates of the largest shard
   /// Passes over the candidate space that fill the arena: 1 for every kind,
   /// or 2 for a weight-based kind whose above-floor survivors overflowed
   /// their cap at more than one shard (e.g. validity_threshold <= 0), which
@@ -162,17 +177,15 @@ class StreamingExecutor {
     size_t end_index = 0;
   };
 
-  /// The shard's reusable buffers; one live instance per Run().
-  struct ShardArena;
-
   std::vector<ShardSlice> PlanShards(size_t num_chunks,
                                      size_t feature_dims) const;
-  /// Fills `arena` with the pairs and probabilities of candidates
-  /// [shard.first_index, shard.end_index) in one ScoreCandidateRange pass,
-  /// adding its attributed pairs/features/classify seconds to `timings`.
+  /// Fills `arena` with the kept rows of candidates [shard.first_index,
+  /// shard.end_index) — those at or above config.validity_threshold — in
+  /// one ScoreCandidateRange pass, adding its attributed
+  /// pairs/features/classify seconds to `timings`.
   void FillArena(const ShardSlice& shard, const MetaBlockingConfig& config,
                  const ProbabilisticClassifier& model,
-                 const std::vector<double>* lcp, ShardArena* arena,
+                 const std::vector<double>* lcp, ScoredCandidates* arena,
                  StreamingResult* timings) const;
 
   const StreamingDataset& dataset_;

@@ -16,6 +16,7 @@
 #define GSMB_UTIL_THREAD_POOL_H_
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -86,6 +87,24 @@ class ThreadPool {
 /// exceptions thrown by fn propagate to the caller (first one wins).
 void ParallelFor(size_t n, size_t num_threads,
                  const std::function<void(size_t, size_t)>& fn);
+
+/// Runs worker(next) on up to `num_threads` threads (never more than n),
+/// where next(&item) claims the lowest unclaimed item of [0, n) from one
+/// shared atomic cursor and returns false once all are claimed. Items of
+/// uneven cost therefore balance across workers, while each worker keeps
+/// its own scratch across the items it claims. Which worker runs an item
+/// varies from run to run, so results must be item-owned (each item writes
+/// only its own output slot) to be identical for any thread count.
+template <typename Worker>
+void ParallelClaim(size_t n, size_t num_threads, const Worker& worker) {
+  std::atomic<size_t> cursor{0};
+  const auto next = [&cursor, n](size_t* item) {
+    *item = cursor.fetch_add(1, std::memory_order_relaxed);
+    return *item < n;
+  };
+  const size_t workers = std::min(std::max<size_t>(num_threads, 1), n);
+  ParallelFor(workers, workers, [&](size_t, size_t) { worker(next); });
+}
 
 /// One contiguous piece of [0, n).
 struct ChunkRange {

@@ -1,11 +1,14 @@
 #include "blocking/candidate_pairs.h"
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_support.h"
+#include "util/random.h"
 
 namespace gsmb {
 namespace {
@@ -92,6 +95,76 @@ TEST(CandidatePairs, CountPositives) {
   GroundTruth gt = testing::PaperExampleGroundTruth();
   // All three duplicates co-occur in at least one block.
   EXPECT_EQ(CountPositivePairs(pairs, gt), 3u);
+}
+
+std::vector<uint32_t> Drained(AscendingIdSet* set) {
+  std::vector<uint32_t> ids;
+  set->Drain([&](uint32_t id) { ids.push_back(id); });
+  return ids;
+}
+
+TEST(AscendingIdSet, EmptyDrainEmitsNothing) {
+  AscendingIdSet set(5000);
+  EXPECT_TRUE(Drained(&set).empty());
+  EXPECT_TRUE(Drained(&set).empty());
+  AscendingIdSet none(0);
+  EXPECT_TRUE(Drained(&none).empty());
+}
+
+TEST(AscendingIdSet, WordSummaryAndTopBoundaries) {
+  const uint32_t universe = (1u << 18) + 4096 + 77;
+  const std::vector<uint32_t> ids = {universe - 1, 4096,   65,     0,
+                                     4095,         64,     63,     4097,
+                                     8191,         8192,   262143, 262144,
+                                     262145,       266239, 266240};
+  AscendingIdSet set(universe);
+  for (uint32_t id : ids) set.Insert(id);
+  std::vector<uint32_t> expected = ids;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(Drained(&set), expected);
+}
+
+TEST(AscendingIdSet, RepeatedInsertsDrainOnce) {
+  AscendingIdSet set(300);
+  for (int round = 0; round < 3; ++round) {
+    for (uint32_t id : {299u, 7u, 64u, 7u, 299u}) set.Insert(id);
+  }
+  EXPECT_EQ(Drained(&set), (std::vector<uint32_t>{7, 64, 299}));
+}
+
+// One set serves pivot after pivot: each drain holds only what was
+// inserted since the last one.
+TEST(AscendingIdSet, ReusedAcrossPivots) {
+  AscendingIdSet set(10000);
+  set.Insert(9999);
+  set.Insert(5);
+  EXPECT_EQ(Drained(&set), (std::vector<uint32_t>{5, 9999}));
+  set.Insert(4096);
+  EXPECT_EQ(Drained(&set), (std::vector<uint32_t>{4096}));
+  set.Insert(4095);
+  set.Insert(0);
+  EXPECT_EQ(Drained(&set), (std::vector<uint32_t>{0, 4095}));
+  EXPECT_TRUE(Drained(&set).empty());
+}
+
+// Dense and sparse random sets, small and large universes, against a sort.
+TEST(AscendingIdSet, MatchesSortAtEveryDensity) {
+  Rng rng(3);
+  for (uint32_t universe : {1u, 64u, 4097u, 12000u, 300000u}) {
+    AscendingIdSet set(universe);
+    for (size_t count : {size_t{1}, size_t{50}, size_t{176}, size_t{1000},
+                         static_cast<size_t>(universe)}) {
+      std::vector<uint32_t> ids;
+      for (size_t i = 0; i < count; ++i) {
+        const auto id = static_cast<uint32_t>(rng.NextUint64(universe));
+        ids.push_back(id);
+        set.Insert(id);
+      }
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      EXPECT_EQ(Drained(&set), ids) << universe << " " << count;
+    }
+  }
 }
 
 }  // namespace

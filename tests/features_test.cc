@@ -283,9 +283,11 @@ std::vector<uint64_t> Bits(const std::vector<double>& values) {
 
 // ScoreCandidateRange() is the streaming shard fill: it regenerates the
 // pairs of a slice of the global candidate order and scores them in the
-// same pass. Its pairs must be that slice of GenerateCandidatePairs and its
-// probabilities that slice of Score(), bit for bit, wherever the slice
-// starts and ends.
+// same pass. At floor 0 it keeps every row, with implicit indices: its
+// pairs must be that slice of GenerateCandidatePairs and its probabilities
+// that slice of Score(), bit for bit, wherever the slice starts and ends.
+// At floor 0.5 it keeps exactly the slice's rows whose Score() is >= 0.5,
+// each with its global index, pair and probability bits.
 TEST(FeatureKernel, ScoreCandidateRangeEqualsSliceOfScore) {
   for (const PreparedDataset* prep : {&gsmb::testing::MediumDataset(),
                                       &gsmb::testing::SmallDirtyDataset()}) {
@@ -319,17 +321,81 @@ TEST(FeatureKernel, ScoreCandidateRangeEqualsSliceOfScore) {
           SCOPED_TRACE(prep->name + " " + set.ToString() + " [" +
                        std::to_string(first) + ", " + std::to_string(end) +
                        ") " + std::to_string(threads) + " threads");
-          std::vector<CandidatePair> pairs = {{1, 2}};  // overwritten
-          std::vector<double> probabilities = {0.5};
+          ScoredCandidates kept;
+          kept.indices = {7};  // overwritten
+          kept.pairs = {{1, 2}};
+          kept.probabilities = {0.5};
           ScoreCandidateRange(*prep->index, offsets, first, end, set, *model,
-                              threads, nullptr, &pairs, &probabilities,
-                              nullptr);
-          EXPECT_EQ(pairs, std::vector<CandidatePair>(
-                               prep->pairs.begin() + first,
-                               prep->pairs.begin() + end));
-          EXPECT_EQ(Bits(probabilities),
+                              0.0, threads, nullptr, &kept, nullptr);
+          EXPECT_EQ(kept.first, first);
+          EXPECT_TRUE(kept.indices.empty());
+          EXPECT_EQ(kept.pairs, std::vector<CandidatePair>(
+                                    prep->pairs.begin() + first,
+                                    prep->pairs.begin() + end));
+          EXPECT_EQ(Bits(kept.probabilities),
                     Bits(std::vector<double>(scored.begin() + first,
                                              scored.begin() + end)));
+
+          std::vector<uint32_t> indices;
+          std::vector<CandidatePair> pairs;
+          std::vector<double> probabilities;
+          for (uint64_t i = first; i < end; ++i) {
+            if (scored[i] >= 0.5) {
+              indices.push_back(static_cast<uint32_t>(i));
+              pairs.push_back(prep->pairs[i]);
+              probabilities.push_back(scored[i]);
+            }
+          }
+          ScoreCandidateRange(*prep->index, offsets, first, end, set, *model,
+                              0.5, threads, nullptr, &kept, nullptr);
+          EXPECT_EQ(kept.indices, indices);
+          EXPECT_EQ(kept.pairs, pairs);
+          EXPECT_EQ(Bits(kept.probabilities), Bits(probabilities));
+          for (size_t j = 0; j < kept.size(); ++j) {
+            EXPECT_EQ(kept.IndexOf(j), indices[j]);
+          }
+        }
+      }
+    }
+  }
+}
+
+// At a floor, Score() keeps PredictBatch(Compute())'s bits for every row at
+// or above it, and leaves every other row below it, for every classifier.
+TEST(FeatureKernel, ScoreAtAFloorKeepsEveryRowThatClearsIt) {
+  for (const PreparedDataset* prep : {&gsmb::testing::MediumDataset(),
+                                      &gsmb::testing::SmallDirtyDataset()}) {
+    FeatureExtractor extractor(*prep->index, prep->pairs);
+    const FeatureSet set = FeatureSet::BlastOptimal();
+    const Matrix features = extractor.Compute(set, 1);
+    Rng rng(5);
+    const TrainingSet training = SampleBalanced(prep->is_positive, 25, &rng);
+    for (ClassifierKind kind :
+         {ClassifierKind::kLogisticRegression, ClassifierKind::kLinearSvc,
+          ClassifierKind::kGaussianNaiveBayes}) {
+      auto model = MakeClassifier(kind);
+      model->Fit(features.SelectRows(training.row_indices), training.labels);
+      const std::vector<double> full = model->PredictBatch(features, 1);
+      for (double floor : {0.5, 0.9}) {
+        for (size_t threads : {1, 4}) {
+          const std::vector<double> scored =
+              extractor.Score(set, *model, threads, nullptr, nullptr, floor);
+          ASSERT_EQ(scored.size(), full.size());
+          size_t kept = 0;
+          size_t wrong = 0;
+          for (size_t r = 0; r < full.size(); ++r) {
+            if (full[r] >= floor) {
+              ++kept;
+              wrong += Bits({scored[r]}) != Bits({full[r]});
+            } else {
+              wrong += !(scored[r] < floor);
+            }
+          }
+          EXPECT_EQ(wrong, 0u) << prep->name << " " << ClassifierKindName(kind)
+                               << " floor " << floor << " " << threads
+                               << " threads";
+          EXPECT_GT(kept, 0u);
+          EXPECT_LT(kept, full.size());
         }
       }
     }
@@ -350,14 +416,13 @@ TEST(FeatureKernel, ScorersTallyBusySecondsPerStage) {
              training.labels);
 
   obs::PhaseTimings range_busy;
-  std::vector<CandidatePair> pairs;
-  std::vector<double> probabilities;
-  ScoreCandidateRange(*prep.index, offsets, 0, offsets.back(), set, *model, 4,
-                      nullptr, &pairs, &probabilities, &range_busy);
+  ScoredCandidates kept;
+  ScoreCandidateRange(*prep.index, offsets, 0, offsets.back(), set, *model,
+                      0.0, 4, nullptr, &kept, &range_busy);
   obs::PhaseTimings score_busy;
   const std::vector<double> scored =
       extractor.Score(set, *model, 4, nullptr, &score_busy);
-  EXPECT_EQ(Bits(probabilities), Bits(scored));  // tallies change nothing
+  EXPECT_EQ(Bits(kept.probabilities), Bits(scored));  // tallies change nothing
 
   for (obs::Phase phase :
        {obs::Phase::kPairs, obs::Phase::kFeatures, obs::Phase::kClassify}) {

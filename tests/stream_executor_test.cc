@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include "stream/streaming_executor.h"
 #include "test_support.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace gsmb {
 namespace {
@@ -274,32 +278,90 @@ TEST(StreamExecutorTest, FusedFillReportsEveryPhaseWithinWallTime) {
   EXPECT_DOUBLE_EQ(stream.total_seconds, stream.phases.Total());
 }
 
-// The arena holds a shard's pairs and probabilities only, and the
-// arena.bytes.peak gauge reports those bytes, not the planning model's.
-TEST(StreamExecutorTest, ArenaGaugeReportsTheBytesItHolds) {
-  const StreamingDataset twin = StreamingTwin(MediumDataset());
+/// The executor's shard plan: `shards` near-equal numbers of whole
+/// DeterministicChunks, the earlier shards one chunk larger, as [first,
+/// end) candidate ranges.
+std::vector<std::pair<size_t, size_t>> ShardRanges(size_t n, size_t shards) {
+  const std::vector<ChunkRange> chunks = DeterministicChunks(n);
+  std::vector<std::pair<size_t, size_t>> ranges;
+  size_t chunk = 0;
+  for (size_t s = 0; s < shards; ++s) {
+    const size_t take =
+        chunks.size() / shards + (s < chunks.size() % shards ? 1 : 0);
+    ranges.push_back({chunks[chunk].begin, chunks[chunk + take - 1].end});
+    chunk += take;
+  }
+  return ranges;
+}
+
+/// Runs `config` on `shards` shards and returns the run's gauges.
+std::map<std::string, double> Gauges(const StreamingDataset& twin,
+                                     size_t shards,
+                                     const MetaBlockingConfig& config,
+                                     StreamingResult* result) {
   StreamingOptions options;
-  options.num_shards = 4;
-  const MetaBlockingConfig config = BaseConfig(PruningKind::kBlast);
+  options.num_shards = shards;
   obs::TelemetrySink sink;
   obs::InstallSink(&sink);
-  const StreamingResult stream = StreamingExecutor(twin, options).Run(config);
+  *result = StreamingExecutor(twin, options).Run(config);
   obs::InstallSink(nullptr);
-  const obs::MetricsSnapshot metrics = sink.SnapshotMetrics();
-  ASSERT_EQ(metrics.gauges.count("arena.bytes.peak"), 1u);
-  EXPECT_EQ(metrics.gauges.at("arena.bytes.peak"),
+  return sink.SnapshotMetrics().gauges;
+}
+
+// The arena holds a shard's kept rows only: the candidates at or above the
+// validity floor, each with its global index, pair and probability
+// (kKeptRowBytes), or at a floor <= 0 every candidate with an implicit
+// index (16 bytes). The arena.bytes.peak gauge reports those bytes, not the
+// planning model's.
+TEST(StreamExecutorTest, ArenaGaugeReportsTheBytesItHolds) {
+  const PreparedDataset& prep = MediumDataset();
+  const StreamingDataset twin = StreamingTwin(prep);
+  MetaBlockingConfig probe = BaseConfig(PruningKind::kBlast);
+  probe.keep_probabilities = true;
+  const std::vector<double> probabilities =
+      RunMetaBlocking(prep, probe).probabilities;
+  const auto above_floor = [&](size_t first, size_t end) {
+    return static_cast<size_t>(
+        std::count_if(probabilities.begin() + first, probabilities.begin() + end,
+                      [](double p) { return p >= 0.5; }));
+  };
+
+  StreamingResult stream;
+  const MetaBlockingConfig config = BaseConfig(PruningKind::kBlast);
+  const size_t kept = above_floor(0, probabilities.size());
+  ASSERT_GT(kept, 0u);
+  ASSERT_LT(kept, probabilities.size());
+  EXPECT_EQ(Gauges(twin, 1, config, &stream).at("arena.bytes.peak"),
+            static_cast<double>(kept * kKeptRowBytes));
+
+  std::map<std::string, double> gauges = Gauges(twin, 4, config, &stream);
+  ASSERT_EQ(stream.num_shards_used, 4u);
+  size_t largest = 0;
+  for (const auto& [first, end] : ShardRanges(probabilities.size(), 4)) {
+    largest = std::max(largest, above_floor(first, end));
+  }
+  EXPECT_EQ(gauges.at("arena.bytes.peak"),
+            static_cast<double>(largest * kKeptRowBytes));
+
+  MetaBlockingConfig every_row = config;
+  every_row.validity_threshold = 0.0;
+  gauges = Gauges(twin, 4, every_row, &stream);
+  EXPECT_EQ(gauges.at("arena.bytes.peak"),
             static_cast<double>(stream.max_shard_candidates *
                                 (sizeof(CandidatePair) + sizeof(double))));
 }
 
-// Weight-based kinds keep sweep 1's pairs at or above the floor in at most
-// one full arena's bytes (16 of the 24 bytes a survivor takes). At the
-// default floor, or at a floor equal to the probability of the weakest pair
-// BLAST retains (which BLAST must still retain), they fit and each shard is
-// filled once. A floor that lets through half as many pairs again as the
-// cap overflows after some shards have survived; no floor overflows at the
-// first shard, so the list never holds any. Either overflow drops the list
-// and fills each shard a second time, still matching the batch path.
+// Weight-based kinds keep the kept rows of every shard but the last in a
+// survivor list capped at StreamingArenaBytesPerPair(1) - kKeptRowBytes
+// bytes per candidate of the largest shard, so the list and one arena of
+// kept rows stay within the planning model's StreamingArenaBytesPerPair(1).
+// At the default floor, or at a floor equal to the probability of the
+// weakest pair BLAST retains (which BLAST must still retain), they fit and
+// each shard is filled once. A floor that lets through half as many pairs
+// again as the cap overflows after some shards have survived; a floor of 0
+// keeps every candidate, which overflows at the first shard, so the list
+// never holds any. Either overflow drops the list and fills each shard a
+// second time, still matching the batch path.
 TEST(StreamExecutorTest, SurvivorsFitOneArenaOrFallBackToASecondFill) {
   const PreparedDataset& prep = MediumDataset();
   const StreamingDataset twin = StreamingTwin(prep);
@@ -315,10 +377,11 @@ TEST(StreamExecutorTest, SurvivorsFitOneArenaOrFallBackToASecondFill) {
   }
   std::vector<double> descending = probed.probabilities;
   std::sort(descending.begin(), descending.end(), std::greater<>());
-  const size_t cap = StreamingExecutor(twin, options)
-                         .Run(probe)
-                         .max_shard_candidates *
-                     16 / 24;
+  const size_t max_shard =
+      StreamingExecutor(twin, options).Run(probe).max_shard_candidates;
+  const size_t cap_bytes =
+      (StreamingArenaBytesPerPair(1) - kKeptRowBytes) * max_shard;
+  const size_t cap = cap_bytes / kKeptRowBytes;
   ASSERT_LT(cap + cap / 2, descending.size());
   const double mid_run_floor = descending[cap + cap / 2];
   ASSERT_GT(mid_run_floor, 0.0);
@@ -337,21 +400,48 @@ TEST(StreamExecutorTest, SurvivorsFitOneArenaOrFallBackToASecondFill) {
         SCOPED_TRACE("floor=" + std::to_string(floor));
         MetaBlockingConfig stream_config = config;
         stream_config.execution.num_threads = threads;
-        obs::TelemetrySink sink;
-        obs::InstallSink(&sink);
-        const StreamingResult stream =
-            StreamingExecutor(twin, options).Run(stream_config);
-        obs::InstallSink(nullptr);
-        const obs::MetricsSnapshot metrics = sink.SnapshotMetrics();
-        ASSERT_EQ(metrics.gauges.count("arena.bytes.peak"), 1u);
-        ASSERT_EQ(metrics.gauges.count("survivors.bytes.peak"), 1u);
-        const double survivor_bytes =
-            metrics.gauges.at("survivors.bytes.peak");
-        EXPECT_LE(survivor_bytes, metrics.gauges.at("arena.bytes.peak"));
+        StreamingResult stream;
+        const std::map<std::string, double> gauges =
+            Gauges(twin, options.num_shards, stream_config, &stream);
+        ASSERT_EQ(gauges.count("arena.bytes.peak"), 1u);
+        ASSERT_EQ(gauges.count("survivors.bytes.peak"), 1u);
+        const double survivor_bytes = gauges.at("survivors.bytes.peak");
+        EXPECT_LE(survivor_bytes, static_cast<double>(cap_bytes));
+        EXPECT_LE(survivor_bytes + gauges.at("arena.bytes.peak"),
+                  static_cast<double>(StreamingArenaBytesPerPair(1) *
+                                      max_shard));
         EXPECT_EQ(survivor_bytes > 0.0, floor > 0.0);
         EXPECT_EQ(stream.num_shards_used, 4u);
         EXPECT_EQ(stream.sweeps, sweeps);
         ExpectIdentical(batch, stream, kind, 4, threads);
+      }
+    }
+  }
+}
+
+// Every kind at floors 0 (every candidate kept, indices implicit), 0.5 and
+// 0.9 (a shard holds only the rows at or above it), at one shard and at
+// four, on both ER modes: the retained set equals the batch path's.
+TEST(StreamExecutorTest, EveryFloorShardCountAndKindMatchesBatch) {
+  for (const PreparedDataset* prep : {&MediumDataset(), &SmallDirtyDataset()}) {
+    const StreamingDataset twin = StreamingTwin(*prep);
+    for (double floor : {0.0, 0.5, 0.9}) {
+      for (PruningKind kind : AllPruningKinds()) {
+        MetaBlockingConfig config = BaseConfig(kind);
+        config.validity_threshold = floor;
+        const MetaBlockingResult batch = RunMetaBlocking(*prep, config);
+        for (size_t shards : {size_t{1}, size_t{4}}) {
+          for (size_t threads : {size_t{1}, size_t{4}}) {
+            SCOPED_TRACE(prep->name + " floor=" + std::to_string(floor));
+            StreamingOptions options;
+            options.num_shards = shards;
+            MetaBlockingConfig stream_config = config;
+            stream_config.execution.num_threads = threads;
+            const StreamingResult stream =
+                StreamingExecutor(twin, options).Run(stream_config);
+            ExpectIdentical(batch, stream, kind, shards, threads);
+          }
+        }
       }
     }
   }
