@@ -58,7 +58,7 @@ void TimeSets(const PreparedDataset& dataset, PruningKind kind,
       config.train_per_class = 250;
       config.seed = rep;
       MetaBlockingResult result = RunMetaBlocking(dataset, config);
-      total += result.total_seconds;
+      total += result.phases.Total();
     }
     table->AddRow({std::to_string(set.Id()), set.ToString(),
                    TablePrinter::Fixed(total / Seeds() * 1e3, 1)});

@@ -118,7 +118,7 @@ int main() {
         "(%.1f ms)\n",
         PruningKindName(kind), result.metrics.retained,
         result.metrics.recall, result.metrics.precision, result.metrics.f1,
-        result.total_seconds * 1e3);
+        result.phases.Total() * 1e3);
   }
 
   std::printf(

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
           "%.1f ms)\n",
           ClassifierKindName(classifier), PruningKindName(pruning),
           r.metrics.recall, r.metrics.precision, r.metrics.f1,
-          r.metrics.retained, r.total_seconds * 1e3);
+          r.metrics.retained, r.phases.Total() * 1e3);
     }
   }
 

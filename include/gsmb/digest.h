@@ -4,8 +4,8 @@
 // (FNV-1a 64 + a splitmix64-style finalizer) — never std::hash — so a
 // digest written on one machine compares bit-identical on another. That
 // stability is load-bearing: CI diffs freshly generated run reports
-// against a committed golden report, and ROADMAP item 1's remote workers
-// ship digests the coordinator verifies.
+// against a committed golden report, and a prepared snapshot proves its
+// load by recomputing the digests it was saved with.
 //
 // PairSetDigest is ORDER-INDEPENDENT: it folds per-pair hashes with
 // commutative XOR and wrapping SUM (plus a count), so the digest of a

@@ -10,8 +10,8 @@
 //   gsmb::JobSpec spec = ...;                    // or JobSpec::FromFile()
 //   gsmb::Result<gsmb::JobResult> result = engine.Run(spec);
 //
-// Backends implement the Executor interface and register by name; the spec
-// selects one through execution.mode. `auto` resolves to streaming when the
+// Backends implement the Executor interface under a name; the spec selects
+// one through execution.mode. `auto` resolves to streaming when the
 // arena-bytes model (the same model the streaming executor sizes its shards
 // with) says the in-memory candidate arrays would exceed
 // execution.memory_budget_mb, and to batch otherwise.
@@ -136,10 +136,11 @@ struct JobResult {
   uint64_t retained_count = 0;
 };
 
-/// A registered execution backend. Implementations load the spec's dataset,
-/// run the full pipeline and report a JobResult; they never call
-/// std::exit() and never let an exception escape (the Engine converts any
-/// that do into StatusCode::kInternal).
+/// An execution backend. The Engine prepares the spec (through its cache)
+/// and hands the backend the prepared handle; the backend runs the
+/// per-configuration stages and reports a JobResult. Implementations never
+/// call std::exit() and never let an exception escape (the Engine converts
+/// any that do into StatusCode::kInternal).
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -151,20 +152,11 @@ class Executor {
   /// otherwise a diagnostic naming the offending setting and the fix.
   virtual Status Supports(const JobSpec& spec) const = 0;
 
-  virtual Result<JobResult> Execute(const JobSpec& spec) const = 0;
-
-  /// True when ExecutePrepared() is implemented. The Engine then prepares
-  /// the spec (through its cache) and calls ExecutePrepared instead of
-  /// Execute — the staged path all three standard backends take (serving
-  /// trains its bootstrap model from the prepared handle; its session
-  /// still tokenizes its own ingests). Backends that load their own inputs
-  /// keep the default (the remote backend, custom executors).
-  virtual bool AcceptsPrepared() const { return false; }
-
   /// Executes against an already-prepared input (same dataset+blocking as
-  /// the spec). Must retain exactly the pairs Execute(spec) would.
-  virtual Result<JobResult> ExecutePrepared(const JobSpec& spec,
-                                            const PreparedInputs& prepared) const;
+  /// the spec). Serving trains its bootstrap model from the handle; its
+  /// session still tokenizes its own ingests.
+  virtual Result<JobResult> ExecutePrepared(
+      const JobSpec& spec, const PreparedInputs& prepared) const = 0;
 };
 
 /// Construction-time knobs of the Engine's prepare cache.
@@ -188,10 +180,6 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Registers an additional backend. Fails on a duplicate name — a new
-  /// workload becomes a registration, never a fourth bespoke entry point.
-  Status Register(std::unique_ptr<Executor> executor);
-
   /// Registered backend names, registration order.
   std::vector<std::string> BackendNames() const;
   /// nullptr when unknown.
@@ -205,8 +193,8 @@ class Engine {
   Result<JobResult> Run(const JobSpec& spec) const;
 
   /// Runs on an explicitly named backend, bypassing mode resolution (the
-  /// spec's execution.mode is ignored). For registered custom backends and
-  /// cross-backend comparison harnesses.
+  /// spec's execution.mode is ignored). For cross-backend comparison
+  /// harnesses.
   Result<JobResult> RunOn(const std::string& backend,
                           const JobSpec& spec) const;
 
@@ -226,20 +214,17 @@ class Engine {
   /// already-prepared input. The spec's dataset+blocking sections must
   /// match the handle's cache key (rejected otherwise — a spec must never
   /// silently execute against someone else's blocks). Resolves
-  /// execution.mode exactly like Run(), including `auto`. A backend that
-  /// does not AcceptsPrepared() (the remote backend, custom executors)
-  /// runs its Execute(spec) path instead, loading its own inputs.
+  /// execution.mode exactly like Run(), including `auto`.
   Result<JobResult> Execute(const JobSpec& spec,
                             const PreparedInputs& prepared) const;
 
   /// Seeds the prepare cache with an externally built handle — e.g. one
   /// loaded from a prepared snapshot (gsmb/snapshot.h) — under the
   /// handle's own cache key, so later Run/Prepare/RunSweep calls over the
-  /// same dataset+blocking hit the cache instead of rebuilding. This is
-  /// how a distributed worker shares the coordinator's one preparation.
-  /// Counts neither a hit nor a miss; a no-op when the key is already
-  /// cached. Fails when the handle is null/keyless or the cache is
-  /// disabled (prepare_cache_max_entries == 0).
+  /// same dataset+blocking hit the cache instead of rebuilding (`gsmb_cli
+  /// run|sweep --snapshot-in`). Counts neither a hit nor a miss; a no-op
+  /// when the key is already cached. Fails when the handle is null/keyless
+  /// or the cache is disabled (prepare_cache_max_entries == 0).
   Status AdoptPrepared(PreparedHandle prepared) const;
 
   /// Expands the sweep's grid, prepares the shared dataset+blocking once
@@ -260,12 +245,12 @@ class Engine {
  private:
   struct PrepareCache;
 
-  /// Supports() check + staged-or-legacy dispatch on one executor.
-  Result<JobResult> Dispatch(const Executor& executor,
-                             const JobSpec& spec) const;
-  /// Re-runs the cache's eviction policy (lazy batch materialisation can
-  /// grow an entry after its insert-time check).
-  void EnforcePrepareBudget() const;
+  /// The one way a spec reaches a backend: Supports() check, Prepare()
+  /// through the cache when `prepared` is null, ExecutePrepared, then the
+  /// cache's eviction policy re-run (lazy batch materialisation can grow an
+  /// entry after its insert-time check).
+  Result<JobResult> Dispatch(const Executor& executor, const JobSpec& spec,
+                             const PreparedInputs* prepared) const;
   /// The backend name `spec.execution.mode` resolves to; `auto` consults
   /// the arena-bytes model against `prepared`'s candidate count.
   std::string ResolveMode(const JobSpec& spec,

@@ -1,7 +1,7 @@
 // Prepared snapshots: a versioned binary file format for PreparedInputs.
 //
 // Engine::Prepare is a pure function of the spec's dataset+blocking
-// sections, but its result was process-local — every worker process, bench
+// sections, but its result was process-local — every process, bench
 // harness and CI job paid its own load + block + count. A prepared snapshot
 // serializes the preparation's *sources of truth* (profiles, ground truth,
 // and the post-purge/filter block collection) and rebuilds the rest — the
@@ -20,8 +20,8 @@
 // field.
 //
 // Loaded handles enter an Engine through Engine::AdoptPrepared, which seeds
-// the prepare cache under the handle's own cache key — the distributed tier
-// (gsmb/remote.h) uses this so N worker processes share ONE preparation.
+// the prepare cache under the handle's own cache key — `gsmb_cli run|sweep
+// --snapshot-in` uses this so later runs and sweeps skip preparation.
 
 #ifndef GSMB_SNAPSHOT_H_
 #define GSMB_SNAPSHOT_H_
@@ -40,8 +40,8 @@ namespace gsmb {
 inline constexpr std::string_view kPreparedSnapshotMagic = "GSMBPS01";
 
 /// The self-describing header of a snapshot file — readable without
-/// rebuilding the preparation, so a coordinator can verify workers against
-/// a snapshot it did not create.
+/// rebuilding the preparation, so a caller can check a snapshot it did not
+/// create against its spec before loading it.
 struct PreparedSnapshotInfo {
   /// PrepareCacheKey(spec) of the preparation: the canonical JSON of the
   /// spec's dataset+blocking sections.

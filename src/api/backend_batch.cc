@@ -20,17 +20,9 @@ class BatchBackend : public Executor {
 
   Status Supports(const JobSpec&) const override { return Status::Ok(); }
 
-  bool AcceptsPrepared() const override { return true; }
-
   Result<JobResult> ExecutePrepared(
       const JobSpec& spec, const PreparedInputs& prepared) const override {
     return RunBatchOn(spec, prepared);
-  }
-
-  Result<JobResult> Execute(const JobSpec& spec) const override {
-    Result<PreparedHandle> prepared = BuildPreparedInputs(spec);
-    if (!prepared.ok()) return prepared.status();
-    return RunBatchOn(spec, **prepared);
   }
 };
 

@@ -59,24 +59,14 @@ class ServingBackend : public Executor {
     return Status::Ok();
   }
 
-  // The staged path: model training reads the handle's counting
-  // preparation (TrainServingModelFromPrepared), so a cold build neither
-  // re-blocks nor materialises the candidate set, and a cached handle lets
-  // repeat cold builds skip preparation entirely. The session still
-  // tokenizes its own ingests; only the bootstrap training reuses the
-  // preparation.
-  bool AcceptsPrepared() const override { return true; }
-
+  // Model training reads the handle's counting preparation, so a cold
+  // build neither re-blocks nor materialises the candidate set, and a
+  // cached handle lets repeat cold builds skip preparation entirely. The
+  // session still tokenizes its own ingests; only the bootstrap training
+  // reuses the preparation.
   Result<JobResult> ExecutePrepared(
       const JobSpec& spec, const PreparedInputs& prepared) const override {
     return RunServingOn(spec, prepared);
-  }
-
-  // Legacy path (direct Execute callers): a private preparation, same code.
-  Result<JobResult> Execute(const JobSpec& spec) const override {
-    Result<PreparedHandle> prepared = BuildPreparedInputs(spec);
-    if (!prepared.ok()) return prepared.status();
-    return RunServingOn(spec, **prepared);
   }
 };
 

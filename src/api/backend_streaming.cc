@@ -23,17 +23,9 @@ class StreamingBackend : public Executor {
 
   Status Supports(const JobSpec&) const override { return Status::Ok(); }
 
-  bool AcceptsPrepared() const override { return true; }
-
   Result<JobResult> ExecutePrepared(
       const JobSpec& spec, const PreparedInputs& prepared) const override {
     return RunStreamingOn(spec, prepared);
-  }
-
-  Result<JobResult> Execute(const JobSpec& spec) const override {
-    Result<PreparedHandle> prepared = BuildPreparedInputs(spec);
-    if (!prepared.ok()) return prepared.status();
-    return RunStreamingOn(spec, **prepared);
   }
 };
 

@@ -1,13 +1,12 @@
 // Internal plumbing shared by the Engine's standard backends.
 //
-// Each backend's staged entry point is ExecutePrepared(spec, prepared): the
+// Each backend's one entry point is ExecutePrepared(spec, prepared): the
 // Engine loads + blocks + counts ONCE per distinct dataset+blocking pair
 // (gsmb/prepared.h, served from the prepare cache) and every backend
 // executes its per-configuration stages against that shared, immutable
-// handle. The legacy Execute(spec) path builds a private preparation and
-// delegates — which is what keeps cross-backend equivalence testable at the
+// handle — which is what keeps cross-backend equivalence testable at the
 // API boundary: every backend's implied candidate set derives from the SAME
-// preparation code.
+// preparation.
 
 #ifndef GSMB_API_BACKENDS_H_
 #define GSMB_API_BACKENDS_H_
@@ -39,8 +38,7 @@ BlockCollection BuildPreprocessedBlocks(const JobSpec& spec,
                                         const JobInputs& inputs);
 
 /// The full preparation stage: load inputs, build + preprocess blocks, run
-/// the counting preparation. Everything Engine::Prepare caches; also the
-/// uncached path behind each backend's legacy Execute(spec).
+/// the counting preparation. Everything Engine::Prepare caches.
 Result<PreparedHandle> BuildPreparedInputs(const JobSpec& spec);
 
 /// spec.execution.options with threads == 0 resolved to the hardware count.

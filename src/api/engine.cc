@@ -266,17 +266,6 @@ void ApplyPhaseTimings(const obs::PhaseTimings& phases,
 }  // namespace api
 
 // ---------------------------------------------------------------------------
-// Executor defaults
-// ---------------------------------------------------------------------------
-
-Result<JobResult> Executor::ExecutePrepared(const JobSpec&,
-                                            const PreparedInputs&) const {
-  return Status::Unimplemented(
-      "backend '" + name() +
-      "' does not implement ExecutePrepared (AcceptsPrepared() is false)");
-}
-
-// ---------------------------------------------------------------------------
 // The prepare cache: LRU over shared, immutable preparations
 // ---------------------------------------------------------------------------
 
@@ -354,19 +343,6 @@ Engine::Engine(EngineOptions options)
 }
 
 Engine::~Engine() = default;
-
-Status Engine::Register(std::unique_ptr<Executor> executor) {
-  if (executor == nullptr) {
-    return Status::InvalidArgument("Register: executor is null");
-  }
-  if (FindBackend(executor->name()) != nullptr) {
-    return Status::InvalidArgument("Register: a backend named '" +
-                                   executor->name() +
-                                   "' is already registered");
-  }
-  executors_.push_back(std::move(executor));
-  return Status::Ok();
-}
 
 std::vector<std::string> Engine::BackendNames() const {
   std::vector<std::string> names;
@@ -504,27 +480,7 @@ Result<JobResult> Engine::Execute(const JobSpec& spec,
   if (executor == nullptr) {
     return Status::NotFound("no backend named '" + name + "' is registered");
   }
-  Status supported = executor->Supports(spec);
-  if (!supported.ok()) return supported;
-  try {
-    if (!executor->AcceptsPrepared()) {
-      // Executors that load their own inputs (custom registrations) run
-      // their legacy path; the handle stays untouched.
-      return executor->Execute(spec);
-    }
-    Result<JobResult> result = executor->ExecutePrepared(spec, prepared);
-    // Lazy materialisation (the batch O(|C|) arrays) can grow a cached
-    // entry after its insert-time budget check; re-enforce now.
-    EnforcePrepareBudget();
-    return result;
-  } catch (const std::exception& e) {
-    return Status::Internal("backend '" + name + "' failed: " + e.what());
-  }
-}
-
-void Engine::EnforcePrepareBudget() const {
-  std::lock_guard<std::mutex> lock(cache_->mutex);
-  cache_->EvictLocked(options_, /*keep=*/"");
+  return Dispatch(*executor, spec, &prepared);
 }
 
 PrepareCacheStats Engine::prepare_cache_stats() const {
@@ -539,23 +495,26 @@ PrepareCacheStats Engine::prepare_cache_stats() const {
 }
 
 Result<JobResult> Engine::Dispatch(const Executor& executor,
-                                   const JobSpec& spec) const {
+                                   const JobSpec& spec,
+                                   const PreparedInputs* prepared) const {
   Status supported = executor.Supports(spec);
   if (!supported.ok()) return supported;
   try {
-    if (executor.AcceptsPrepared()) {
-      // The staged path: prepare through the cache, execute against the
-      // shared handle. Run() is exactly Prepare + ExecutePrepared.
-      Result<PreparedHandle> prepared = Prepare(spec);
-      if (!prepared.ok()) return prepared.status();
-      Result<JobResult> result = executor.ExecutePrepared(spec, **prepared);
-      // Lazy materialisation can grow the cached entry past its
-      // insert-time budget check; re-enforce now.
-      EnforcePrepareBudget();
-      return result;
+    // Run() is exactly Prepare + ExecutePrepared: prepare through the
+    // cache, execute against the shared handle.
+    PreparedHandle handle;
+    if (prepared == nullptr) {
+      Result<PreparedHandle> built = Prepare(spec);
+      if (!built.ok()) return built.status();
+      handle = std::move(*built);
+      prepared = handle.get();
     }
-    // Executors that load their own inputs (custom registrations).
-    return executor.Execute(spec);
+    Result<JobResult> result = executor.ExecutePrepared(spec, *prepared);
+    // Lazy materialisation (the batch O(|C|) arrays) can grow a cached
+    // entry after its insert-time budget check; re-enforce now.
+    std::lock_guard<std::mutex> lock(cache_->mutex);
+    cache_->EvictLocked(options_, /*keep=*/"");
+    return result;
   } catch (const std::exception& e) {
     return Status::Internal("backend '" + executor.name() +
                             "' failed: " + e.what());
@@ -576,7 +535,7 @@ Result<JobResult> Engine::RunOn(const std::string& backend,
     return Status::NotFound("no backend named '" + backend +
                             "' is registered (have: " + known + ")");
   }
-  return Dispatch(*executor, spec);
+  return Dispatch(*executor, spec, /*prepared=*/nullptr);
 }
 
 Result<JobResult> Engine::Run(const JobSpec& spec) const {

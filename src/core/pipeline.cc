@@ -179,12 +179,6 @@ MetaBlockingResult PruneAndEvaluate(const PreparedRef& prepared,
 
   result.training_size = trained.training_size;
   result.model_coefficients = trained.model->CoefficientsWithIntercept();
-  result.feature_seconds = result.phases.Get(obs::Phase::kFeatures);
-  result.train_seconds = result.phases.Get(obs::Phase::kTrain);
-  result.classify_seconds = result.phases.Get(obs::Phase::kClassify);
-  result.prune_seconds = result.phases.Get(obs::Phase::kPrune);
-  result.total_seconds = result.feature_seconds + result.train_seconds +
-                         result.classify_seconds + result.prune_seconds;
   obs::CounterAdd("pairs.generated", pairs.size());
   obs::CounterAdd("pairs.retained", retained.size());
   const std::vector<uint64_t>& positives = *prepared.positive_indices;

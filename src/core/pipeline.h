@@ -145,17 +145,10 @@ EffectivenessMetrics MetricsFromCounts(size_t true_positives, size_t retained,
 
 struct MetaBlockingResult {
   EffectivenessMetrics metrics;
-  /// Phase-time breakdown from the telemetry clock (obs::ScopedPhase).
-  /// The legacy `*_seconds` fields below are views of this — one clock
-  /// source, no duplicated Stopwatches.
+  /// Phase-time breakdown from the telemetry clock (obs::ScopedPhase), the
+  /// run's only timing record. It holds features, train, classify and
+  /// prune, so Total() is the paper's RT for Generalized SM.
   obs::PhaseTimings phases;
-  /// RT components, seconds. `total_seconds` = features + train + classify
-  /// + prune (the paper's RT definition for Generalized SM).
-  double feature_seconds = 0.0;
-  double train_seconds = 0.0;
-  double classify_seconds = 0.0;
-  double prune_seconds = 0.0;
-  double total_seconds = 0.0;
   size_t training_size = 0;
   /// Classifier coefficients in raw feature space, intercept last
   /// (Table 6 reports these for the scalability models).

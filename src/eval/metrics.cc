@@ -23,7 +23,7 @@ double StdDev(const std::vector<double>& v, double mean) {
 }  // namespace
 
 void MetricsAccumulator::Add(const MetaBlockingResult& result) {
-  Add(result.metrics, result.total_seconds);
+  Add(result.metrics, result.phases.Total());
 }
 
 void MetricsAccumulator::Add(const EffectivenessMetrics& metrics,

@@ -4,8 +4,8 @@
 // strategy that turns loaded JobInputs into a raw BlockCollection. Because
 // every scheme emits the same collection type, anything downstream —
 // purging/filtering, all 8 pruning kinds, the batch/streaming/serving
-// backends, prepared-input caching/snapshots and the distributed sweep
-// tier — composes with a new scheme untouched.
+// backends and prepared-input caching/snapshots — composes with a new
+// scheme untouched.
 //
 // Contract for every registered scheme:
 //   * Build() is deterministic: bit-identical output for any num_threads

@@ -293,15 +293,6 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
 
   result.metrics = MetricsFromCounts(true_positives, retained_count,
                                      dataset_.ground_truth.size());
-  // The legacy *_seconds fields are views of the phase clock.
-  result.generate_seconds = result.phases.Get(obs::Phase::kPairs);
-  result.feature_seconds = result.phases.Get(obs::Phase::kFeatures);
-  result.train_seconds = result.phases.Get(obs::Phase::kTrain);
-  result.classify_seconds = result.phases.Get(obs::Phase::kClassify);
-  result.prune_seconds = result.phases.Get(obs::Phase::kPrune);
-  result.total_seconds = result.generate_seconds + result.feature_seconds +
-                         result.train_seconds + result.classify_seconds +
-                         result.prune_seconds;
   return result;
 }
 

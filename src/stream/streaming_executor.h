@@ -115,20 +115,13 @@ struct StreamingOptions {
 
 struct StreamingResult {
   EffectivenessMetrics metrics;
-  /// Phase-time breakdown from the telemetry clock (obs::ScopedPhase);
-  /// the `*_seconds` fields below are views of it.
+  /// Phase-time breakdown from the telemetry clock (obs::ScopedPhase), the
+  /// run's only timing record. Phase::kPairs (pair regeneration, a cost the
+  /// batch path pays during preparation instead) is part of Total() so
+  /// streaming-vs-batch wall-clock comparisons are fair. The pairs,
+  /// features and classify entries are attributed shares of the fused
+  /// shard fills (obs::AttributeFusedRegion).
   obs::PhaseTimings phases;
-  /// RT components, seconds. `generate_seconds` (pair regeneration, a cost
-  /// the batch path pays during preparation instead) is included in
-  /// `total_seconds` so streaming-vs-batch wall-clock comparisons are fair.
-  /// Generate, feature and classify seconds are attributed shares of the
-  /// fused shard fills (obs::AttributeFusedRegion).
-  double generate_seconds = 0.0;
-  double feature_seconds = 0.0;
-  double train_seconds = 0.0;
-  double classify_seconds = 0.0;
-  double prune_seconds = 0.0;
-  double total_seconds = 0.0;
   size_t training_size = 0;
   /// Classifier coefficients in raw feature space, intercept last —
   /// bit-identical to the batch path's.

@@ -1,8 +1,7 @@
-// The one binary codec behind both snapshot formats and the distributed
-// wire protocol. Every multi-byte scalar is little-endian whatever the
-// host byte order, and doubles travel bit-exact (as their IEEE-754 u64
-// image), so files and frames written on one host read back identically
-// on any other.
+// The one binary codec behind both snapshot formats. Every multi-byte
+// scalar is little-endian whatever the host byte order, and doubles travel
+// bit-exact (as their IEEE-754 u64 image), so files written on one host
+// read back identically on any other.
 //
 // BinaryReader is bounds-checked: every length or count field is validated
 // against the bytes actually remaining in the input BEFORE any container

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -184,37 +183,9 @@ TEST(EngineRegistry, StandardBackendsAreRegistered) {
   EXPECT_EQ(names[2], "serving");
   EXPECT_NE(SharedEngine().FindBackend("serving"), nullptr);
   EXPECT_EQ(SharedEngine().FindBackend("spark"), nullptr);
-}
-
-class NamedStub : public Executor {
- public:
-  explicit NamedStub(std::string name) : name_(std::move(name)) {}
-  std::string name() const override { return name_; }
-  Status Supports(const JobSpec&) const override { return Status::Ok(); }
-  Result<JobResult> Execute(const JobSpec&) const override {
-    JobResult result;
-    result.backend = name_;
-    return result;
-  }
-
- private:
-  std::string name_;
-};
-
-TEST(EngineRegistry, RegistrationAndDuplicateRejection) {
-  Engine engine;
-  EXPECT_TRUE(engine.Register(std::make_unique<NamedStub>("remote")).ok());
-  EXPECT_NE(engine.FindBackend("remote"), nullptr);
-  // A new workload is a registration, never a name collision.
-  Status duplicate = engine.Register(std::make_unique<NamedStub>("batch"));
-  EXPECT_FALSE(duplicate.ok());
 
   JobSpec spec = ServingCompatibleSpec(PruningKind::kBlast);
-  Result<JobResult> result = engine.RunOn("remote", spec);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->backend, "remote");
-
-  Result<JobResult> missing = engine.RunOn("absent", spec);
+  Result<JobResult> missing = SharedEngine().RunOn("absent", spec);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }

@@ -19,7 +19,7 @@ MetaBlockingResult FakeResult(double recall, double precision, double rt) {
                      ? 2 * recall * precision / (recall + precision)
                      : 0.0;
   r.metrics.retained = 100;
-  r.total_seconds = rt;
+  r.phases.Add(obs::Phase::kFeatures, rt);
   return r;
 }
 
@@ -118,7 +118,7 @@ TEST(Experiment, RepeatedRunsAggregated) {
   EXPECT_GT(result.aggregate.f1, 0.0);
   // Feature cost is charged to each run's RT.
   for (const MetaBlockingResult& run : result.runs) {
-    EXPECT_GE(run.total_seconds, result.feature_seconds);
+    EXPECT_GE(run.phases.Total(), result.feature_seconds);
   }
 }
 

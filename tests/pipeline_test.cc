@@ -82,7 +82,7 @@ TEST(RunMetaBlocking, EndToEndProducesSaneMetrics) {
   EXPECT_LE(result.metrics.precision, 1.0);
   EXPECT_GT(result.metrics.retained, 0u);
   EXPECT_LT(result.metrics.retained, prep.pairs.size());
-  EXPECT_GT(result.total_seconds, 0.0);
+  EXPECT_GT(result.phases.Total(), 0.0);
   EXPECT_EQ(result.training_size, 50u);
   // Coefficients: 4 features + intercept.
   EXPECT_EQ(result.model_coefficients.size(), 5u);
@@ -193,8 +193,8 @@ TEST(RunMetaBlocking, FusedSweepEqualsPrecomputedMatrix) {
         EXPECT_GT(fused.retained_indices.size(), 0u) << label;
         // The fused sweep's wall time is split between features and
         // classify by the workers' busy tallies: both get a share.
-        EXPECT_GT(fused.feature_seconds, 0.0) << label;
-        EXPECT_GT(fused.classify_seconds, 0.0) << label;
+        EXPECT_GT(fused.phases.Get(obs::Phase::kFeatures), 0.0) << label;
+        EXPECT_GT(fused.phases.Get(obs::Phase::kClassify), 0.0) << label;
       }
     }
   }

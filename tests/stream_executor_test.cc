@@ -269,13 +269,12 @@ TEST(StreamExecutorTest, FusedFillReportsEveryPhaseWithinWallTime) {
   const StreamingResult stream = StreamingExecutor(twin, options).Run(config);
   const double wall = watch.ElapsedSeconds();
   ASSERT_EQ(stream.num_shards_used, 4u);
-  EXPECT_GT(stream.generate_seconds, 0.0);
-  EXPECT_GT(stream.feature_seconds, 0.0);
-  EXPECT_GT(stream.classify_seconds, 0.0);
-  EXPECT_GT(stream.train_seconds, 0.0);
-  EXPECT_GT(stream.prune_seconds, 0.0);
+  EXPECT_GT(stream.phases.Get(obs::Phase::kPairs), 0.0);
+  EXPECT_GT(stream.phases.Get(obs::Phase::kFeatures), 0.0);
+  EXPECT_GT(stream.phases.Get(obs::Phase::kClassify), 0.0);
+  EXPECT_GT(stream.phases.Get(obs::Phase::kTrain), 0.0);
+  EXPECT_GT(stream.phases.Get(obs::Phase::kPrune), 0.0);
   EXPECT_LE(stream.phases.Total(), wall);
-  EXPECT_DOUBLE_EQ(stream.total_seconds, stream.phases.Total());
 }
 
 /// The executor's shard plan: `shards` near-equal numbers of whole

@@ -77,7 +77,6 @@
 #include "gsmb/engine.h"
 #include "gsmb/job_spec.h"
 #include "gsmb/prepared.h"
-#include "gsmb/remote.h"
 #include "gsmb/report.h"
 #include "gsmb/snapshot.h"
 #include "gsmb/status.h"
@@ -116,16 +115,9 @@ void PrintUsage(std::FILE* stream) {
       "            [--json results.json] [--retained-dir DIR]\n"
       "            [--report-out report.json]\n"
       "            [flags as for run, applied to the sweep's base spec]\n"
-      "   or: gsmb sweep --config sweep.json --workers N\n"
-      "            [--worker-cmd BIN] [--snapshot-in prepared.snapshot]\n"
-      "            (distributed: N local worker processes share ONE\n"
-      "             preparation; per-variant results are digest-verified)\n"
       "   or: gsmb prepare [--config job.json] [dataset/blocking flags]\n"
       "            --snapshot-out prepared.snapshot\n"
       "   or: gsmb run|sweep ... --snapshot-in prepared.snapshot\n"
-      "   or: gsmb worker [--snapshot-in prepared.snapshot] [--threads N]\n"
-      "            (protocol worker over stdin/stdout; spawned by the\n"
-      "             sweep coordinator, rarely run by hand)\n"
       "   or: gsmb report diff a_report.json b_report.json\n"
       "   or: gsmb migrate spec.json [more.json ...]\n"
       "   or: gsmb serve [--config job.json] --data a.csv --gt matches.csv\n"
@@ -749,7 +741,7 @@ int SweepMain(int argc, char** argv, int begin) {
   std::vector<std::string> raw;
   for (int i = begin; i < argc; ++i) raw.emplace_back(argv[i]);
   std::string config_path, csv_path, json_path, retained_dir, report_path;
-  std::string snapshot_in, workers_value, worker_cmd;
+  std::string snapshot_in;
   TelemetryFlags telemetry;
   auto take_value = [&raw](size_t i, const char* flag,
                            std::string* out) -> Result<size_t> {
@@ -767,8 +759,6 @@ int SweepMain(int argc, char** argv, int begin) {
     else if (raw[i] == "--retained-dir") target = &retained_dir;
     else if (raw[i] == "--report-out") target = &report_path;
     else if (raw[i] == "--snapshot-in") target = &snapshot_in;
-    else if (raw[i] == "--workers") target = &workers_value;
-    else if (raw[i] == "--worker-cmd") target = &worker_cmd;
     else if (raw[i] == "--trace-out") target = &telemetry.trace_path;
     else if (raw[i] == "--metrics-out") target = &telemetry.metrics_path;
     if (target == nullptr) {
@@ -798,36 +788,11 @@ int SweepMain(int argc, char** argv, int begin) {
   Status valid = sweep->Validate();
   if (!valid.ok()) return Fail(valid, /*with_usage=*/true);
 
-  size_t workers = 0;
-  if (!workers_value.empty()) {
-    Result<uint64_t> count = cli::ParseCount("--workers", workers_value);
-    if (!count.ok()) return Fail(count.status(), /*with_usage=*/true);
-    if (*count == 0) {
-      return UsageError(
-          "--workers 0 is contradictory: a distributed sweep needs at "
-          "least one worker process (omit the flag to run in-process)");
-    }
-    workers = static_cast<size_t>(*count);
-  }
-  if (workers == 0 && !worker_cmd.empty()) {
-    return UsageError(
-        "--worker-cmd names the worker binary of a distributed sweep; "
-        "it needs --workers N");
-  }
-
-  // Coordinator-side telemetry (prepare span, pipeline counters); the
-  // distributed path additionally folds per-worker snapshots into the
-  // SweepResult's own telemetry field.
+  // Sweep-level telemetry: the prepare span and pipeline counters of every
+  // variant.
   obs::TelemetrySink sink;
   if (telemetry.wanted()) obs::InstallSink(&sink);
   Result<SweepResult> result = [&]() -> Result<SweepResult> {
-    if (workers > 0) {
-      RemoteOptions options;
-      options.num_workers = workers;
-      options.worker_command = worker_cmd;  // empty = this binary
-      options.snapshot_path = snapshot_in;
-      return RunSweepRemote(*sweep, options);
-    }
     Engine engine;
     if (!snapshot_in.empty()) {
       Status adopted = AdoptSnapshotChecked(engine, snapshot_in, sweep->base);
@@ -919,12 +884,12 @@ int SweepMain(int argc, char** argv, int begin) {
 }
 
 // ---------------------------------------------------------------------------
-// prepare / worker (the distributed tier's CLI surface)
+// prepare
 // ---------------------------------------------------------------------------
 
 /// `gsmb prepare ... --snapshot-out F` — run the preparation (dataset +
-/// blocking) once and persist it as a prepared snapshot that `run`,
-/// `sweep` and distributed workers load instead of re-preparing.
+/// blocking) once and persist it as a prepared snapshot that `run` and
+/// `sweep` load instead of re-preparing.
 int PrepareMain(int argc, char** argv, int begin) {
   if (WantsHelp(argc, argv, begin)) {
     PrintUsage(stdout);
@@ -963,31 +928,6 @@ int PrepareMain(int argc, char** argv, int begin) {
       obs::DigestHex(info->dataset_fingerprint).c_str(),
       obs::DigestHex(info->prepared_digest).c_str());
   return 0;
-}
-
-/// `gsmb worker` — the coordinator-spawned protocol worker. stdout is the
-/// protocol channel, so every diagnostic here goes to stderr and the
-/// usage text is never printed to stdout.
-int WorkerMain(int argc, char** argv, int begin) {
-  WorkerOptions options;
-  cli::ArgStream args(argc, argv, begin);
-  while (!args.Done()) {
-    const std::string flag = args.Take();
-    if (flag == "--snapshot-in") {
-      Result<std::string> value = args.Value(flag);
-      if (!value.ok()) return Fail(value.status());
-      options.snapshot_path = *value;
-    } else if (flag == "--threads") {
-      Result<std::string> value = args.Value(flag);
-      if (!value.ok()) return Fail(value.status());
-      Result<uint64_t> count = cli::ParseCount(flag, *value);
-      if (!count.ok()) return Fail(count.status());
-      options.num_threads = static_cast<size_t>(*count);
-    } else {
-      return Fail(Status::InvalidArgument("unknown worker flag " + flag));
-    }
-  }
-  return RunWorker(options);
 }
 
 // ---------------------------------------------------------------------------
@@ -1463,7 +1403,6 @@ int main(int argc, char** argv) {
   if (command == "explain") return ExplainMain(argc, argv, 2);
   if (command == "sweep") return SweepMain(argc, argv, 2);
   if (command == "prepare") return PrepareMain(argc, argv, 2);
-  if (command == "worker") return WorkerMain(argc, argv, 2);
   if (command == "report") return ReportMain(argc, argv, 2);
   if (command == "migrate") return MigrateMain(argc, argv, 2);
   if (command == "serve") return ServeMain(argc, argv);

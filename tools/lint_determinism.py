@@ -55,12 +55,12 @@ time instead of waiting for a flaky paper_shape run:
 
   raw-process
       fork()/exec*/system()/popen()/posix_spawn()/socket() outside the
-      sanctioned process owners: src/dist/ (the distributed execution
-      tier), tools/ and tests/. A library that silently spawns processes
-      or opens sockets is impossible to reason about for determinism
-      (child scheduling, environment inheritance, network timing) and
-      for sandboxing; all process fan-out must flow through the
-      coordinator in src/dist/.
+      sanctioned process owners, tools/ and tests/. No library directory
+      may spawn processes or open sockets: a library that does is
+      impossible to reason about for determinism (child scheduling,
+      environment inheritance, network timing) and for sandboxing.
+      Parallelism inside the library is threads (util/thread_pool.h);
+      fanning work out across processes is the caller's business.
 
 Escape hatch: the marker
 
@@ -458,12 +458,11 @@ RAW_PROCESS_PATTERNS = (
 
 def process_exempt(path):
     p = path.replace(os.sep, "/")
-    # The sanctioned process owners: the distributed tier, the CLI /
-    # developer tools, and tests (which exercise the fork paths). Lint
-    # fixtures stay in scope so the self-test can trip the rule.
+    # The sanctioned process owners: the CLI / developer tools and tests.
+    # Lint fixtures stay in scope so the self-test can trip the rule.
     if "/lint_fixtures/" in p or p.startswith("lint_fixtures/"):
         return False
-    for d in ("src/dist", "tools", "tests"):
+    for d in ("tools", "tests"):
         if "/%s/" % d in p or p.startswith(d + "/"):
             return True
     return False
@@ -480,10 +479,10 @@ def check_raw_process(path, raw_lines, allow_map, findings):
                 findings.append(
                     Finding(
                         path, idx, rule,
-                        "%s outside src/dist//tools//tests: library code "
-                        "must not spawn processes or open sockets — route "
-                        "process fan-out through the coordinator in "
-                        "src/dist/ (gsmb/remote.h)" % what))
+                        "%s outside tools//tests: library code must not "
+                        "spawn processes or open sockets — parallelise "
+                        "with threads (util/thread_pool.h) and leave "
+                        "process fan-out to the caller" % what))
                 break
 
 

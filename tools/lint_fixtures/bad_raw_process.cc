@@ -1,4 +1,4 @@
-// Lint fixture: raw process/socket calls outside src/dist//tools//tests.
+// Lint fixture: raw process/socket calls outside tools//tests.
 // MUST trip raw-process (and only that rule).
 #include <unistd.h>
 
