@@ -352,65 +352,44 @@ void BM_ClassifierInferenceParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifierInferenceParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// The batch executor's fused sweep: features and classification of every
-// candidate in one pass, no feature matrix. Compare against
-// BM_FeaturesParallel + BM_ClassifierInferenceParallel at the same Arg.
-void BM_ScoreParallel(benchmark::State& state) {
-  const auto threads = static_cast<size_t>(state.range(0));
-  const PreparedDataset& prep = Prepared();
-  FeatureExtractor extractor(*prep.index, prep.pairs);
-  const LogisticRegression& model = BlastModel();
-  for (auto _ : state) {
-    std::vector<double> probs =
-        extractor.Score(FeatureSet::BlastOptimal(), model, threads);
-    benchmark::DoNotOptimize(probs.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
-}
-BENCHMARK(BM_ScoreParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// The streaming executor's shard fill over the whole candidate order: pairs
-// (regenerated from the blocks), features and classification in one pass,
-// split across threads by candidate count. Compare case 0 against
-// BM_CandidateGeneration + BM_ScoreParallel at the same thread count.
-// Args: {case, threads}. Case 0 is DblpAcm x0.25 at floor 0 (every row
-// kept); cases 1 and 2 are Dirty ER D10K x1.2 at floor 0 and at the paper's
-// validity floor 0.5, where only the ~1% of rows that clear it are kept.
+// The executor's shard fill over the whole candidate order: pairs,
+// features and classification in one pass, split across threads by
+// candidate count. Args: {case, threads}. Case 0 is DblpAcm x0.25 at floor
+// 0 (every row kept), its pairs regenerated from the blocks: compare it
+// against BM_CandidateGeneration + case 3 at the same thread count. Cases 1
+// and 2 are Dirty ER D10K x1.2 at floor 0 and at the paper's validity floor
+// 0.5, where only the ~1% of rows that clear it are kept. Case 3 is case 0
+// reading the resident pair list instead, as batch does: compare it against
+// BM_FeaturesParallel + BM_ClassifierInferenceParallel at the same thread
+// count.
 void BM_ScoreCandidateRange(benchmark::State& state) {
   const auto threads = static_cast<size_t>(state.range(1));
-  const bool dirty = state.range(0) > 0;
+  const bool dirty = state.range(0) == 1 || state.range(0) == 2;
   const double floor = state.range(0) == 2 ? 0.5 : 0.0;
-  std::vector<uint64_t> clean_offsets;
-  if (!dirty) {
-    const PreparedDataset& prep = Prepared();
-    clean_offsets.assign(NumCandidatePivots(*prep.index) + 1, 0);
-    for (const CandidatePair& pair : prep.pairs) ++clean_offsets[pair.left + 1];
-    for (size_t p = 1; p < clean_offsets.size(); ++p) {
-      clean_offsets[p] += clean_offsets[p - 1];
-    }
-  }
-  const EntityIndex& index = dirty ? *DirtyStream().index : *Prepared().index;
-  const std::vector<uint64_t>& offsets =
-      dirty ? DirtyStream().pivot_offsets : clean_offsets;
+  const std::vector<CandidatePair>* resident =
+      state.range(0) == 3 ? &Prepared().pairs : nullptr;
+  const StreamingDataset& prep =
+      dirty ? DirtyStream() : static_cast<const StreamingDataset&>(Prepared());
   const ProbabilisticClassifier& model =
       dirty ? DirtyModel()
             : static_cast<const ProbabilisticClassifier&>(BlastModel());
   ScoredCandidates kept;
   for (auto _ : state) {
-    ScoreCandidateRange(index, offsets, 0, offsets.back(),
-                        FeatureSet::BlastOptimal(), model, floor, threads,
-                        nullptr, &kept, nullptr);
+    ScoreCandidateRange(*prep.index, prep.pivot_offsets, 0,
+                        prep.num_candidates(), FeatureSet::BlastOptimal(),
+                        model, floor, threads, nullptr, &kept, nullptr,
+                        resident);
     benchmark::DoNotOptimize(kept.pairs.data());
     benchmark::DoNotOptimize(kept.probabilities.data());
     benchmark::ClobberMemory();
   }
   const char* labels[] = {"DblpAcm x0.25 floor 0", "D10K x1.2 floor 0",
-                          "D10K x1.2 floor 0.5"};
+                          "D10K x1.2 floor 0.5",
+                          "DblpAcm x0.25 floor 0 resident"};
   state.SetLabel(std::string(labels[state.range(0)]) + "/t" +
                  std::to_string(threads));
   state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * offsets.back()));
+      static_cast<int64_t>(state.iterations() * prep.num_candidates()));
 }
 BENCHMARK(BM_ScoreCandidateRange)
     ->Args({0, 1})
@@ -421,6 +400,10 @@ BENCHMARK(BM_ScoreCandidateRange)
     ->Args({1, 4})
     ->Args({2, 1})
     ->Args({2, 4})
+    ->Args({3, 1})
+    ->Args({3, 2})
+    ->Args({3, 4})
+    ->Args({3, 8})
     ->Unit(benchmark::kMillisecond);
 
 // The classifiers' tile scorer over every BlastOptimal row of DblpAcm

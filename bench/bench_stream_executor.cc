@@ -1,6 +1,7 @@
-// Streaming-executor benchmark: peak memory and wall clock of the
-// bounded-memory path (stream/) against the in-memory batch path
-// (core/pipeline.h) on a generated Dirty dataset.
+// Streaming-executor benchmark: peak memory and wall clock of streaming
+// (many shards, pairs regenerated from the blocks) against batch
+// (RunMetaBlocking, core/pipeline.h: the same executor at one shard over
+// the materialised pair list) on a generated Dirty dataset.
 //
 // VmHWM is a process-wide high-water mark, so the two paths CANNOT be
 // measured in one process — whichever runs first would poison the other's
@@ -141,7 +142,7 @@ int RunChild(const std::string& mode, const std::string& props_path) {
                          data.entities[pair.right].external_id());
         };
     watch.Restart();
-    const StreamingResult result =
+    const MetaBlockingResult result =
         StreamingExecutor(prep, options).Run(config, retained_sink);
     props["run_ms"] = std::to_string(watch.ElapsedMillis());
     props["retained_digest"] = digest.Hex();

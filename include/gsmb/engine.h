@@ -27,11 +27,12 @@
 //
 // Equivalence contract: for any spec every backend that Supports() it
 // retains the SAME pairs. Batch and streaming are bit-identical by
-// construction (they share the pruning aggregates and the training-sample
-// replay). A serving cold build retains the same pairs when the spec is
-// shard-pure-compatible — Dirty ER, token blocking, filter_ratio 1, a
-// linear classifier — and execution.shards is 1; with more shards the
-// session applies its documented per-shard union semantics instead.
+// construction: both run the one executor (stream/streaming_executor.h),
+// batch at one shard over the handle's materialised pairs. A serving cold
+// build retains the same pairs when the spec is shard-pure-compatible —
+// Dirty ER, token blocking, filter_ratio 1, a linear classifier — and
+// execution.shards is 1; with more shards the session applies its
+// documented per-shard union semantics instead.
 // tests/api_engine_test.cc locks the three-way equivalence in for all 8
 // pruning kinds; tests/api_prepare_test.cc locks cold == cached.
 
@@ -96,9 +97,9 @@ struct JobResult {
   double prune_seconds = 0.0;
   double total_seconds = 0.0;
 
-  /// Execution shape: candidate-space slices (streaming) or key shards
-  /// (serving); 1 for batch. `sweeps` = full passes over the candidate
-  /// space (streaming only).
+  /// Execution shape: candidate-space slices (batch and streaming; 1 for
+  /// batch) or key shards (serving). `sweeps` = full passes over the
+  /// candidate space that fill the executor's arena (batch and streaming).
   size_t shards_used = 1;
   size_t sweeps = 0;
 

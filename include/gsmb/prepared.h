@@ -18,8 +18,10 @@
 // share one preparation per distinct (dataset, blocking) pair.
 //
 // A handle carries the counting (streaming) preparation, which every
-// backend can execute from; the batch backend's O(|C|) candidate arrays are
-// materialised lazily, at most once per handle, on first batch execution.
+// backend can execute from; the batch backend's O(|C|) pair list is
+// materialised lazily, at most once per handle, on first batch execution,
+// and every batch run then reads it: the executor at one shard over the
+// resident pairs (stream/streaming_executor.h).
 // Handles are immutable after construction (the lazy batch arrays are
 // logically const: built once, then only read) and safe to share across
 // threads.
@@ -65,8 +67,9 @@ std::string PrepareCacheKey(const JobSpec& spec);
 
 class PreparedInputs {
  public:
-  /// The O(|C|) arrays only the batch pipeline needs: the materialised
-  /// candidate set. (Its labels are stream.positive_indices.)
+  /// The O(|C|) array only the batch backend reads: the materialised
+  /// candidate set, the executor's resident pair list. (Its labels are
+  /// stream.positive_indices.)
   struct BatchArrays {
     std::vector<CandidatePair> pairs;
     /// One-off cost of materialising these arrays, seconds.

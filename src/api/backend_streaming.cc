@@ -1,10 +1,12 @@
-// The streaming backend: stream/'s bounded-memory executor behind the
-// Executor interface. Retained pairs are bit-identical to the batch
-// backend's for any shard/thread count (stream/streaming_executor.h
-// documents why); retained CSV rows stream straight to disk so the mode
-// never buffers O(retained) memory. Executes straight off a shared
-// PreparedInputs handle's counting preparation — a streaming-only sweep
-// never materialises the O(|C|) batch arrays.
+// The batch and streaming backends: stream/'s executor behind the Executor
+// interface, and the one function that fills their JobResult. Streaming
+// runs straight off a shared PreparedInputs handle's counting preparation
+// at the spec's shard count — a streaming-only sweep never materialises the
+// O(|C|) pair list — while batch runs the same executor at one shard over
+// the handle's materialised pairs (backend_batch.cc). Retained pairs are
+// bit-identical for any shard/thread count (stream/streaming_executor.h
+// documents why); retained CSV rows stream straight to disk so neither
+// backend buffers O(retained) memory.
 
 #include <utility>
 
@@ -25,28 +27,31 @@ class StreamingBackend : public Executor {
 
   Result<JobResult> ExecutePrepared(
       const JobSpec& spec, const PreparedInputs& prepared) const override {
-    return RunStreamingOn(spec, prepared);
+    StreamingOptions options;
+    options.num_shards = spec.execution.shards;
+    options.memory_budget_mb = spec.execution.memory_budget_mb;
+    return RunExecutorOn(spec, prepared, name(), options, nullptr);
   }
 };
 
 }  // namespace
 
-Result<JobResult> RunStreamingOn(const JobSpec& spec,
-                                 const PreparedInputs& prepared) {
+Result<JobResult> RunExecutorOn(const JobSpec& spec,
+                                const PreparedInputs& prepared,
+                                const std::string& backend,
+                                const StreamingOptions& options,
+                                const PreparedInputs::BatchArrays* batch) {
   const JobInputs& inputs = prepared.inputs;
   const StreamingDataset& prep = prepared.stream;
-
-  StreamingOptions options;
-  options.num_shards = spec.execution.shards;
-  options.memory_budget_mb = spec.execution.memory_budget_mb;
-  StreamingExecutor executor(prep, options);
+  StreamingExecutor executor(prep, options,
+                             batch != nullptr ? &batch->pairs : nullptr);
 
   JobResult result;
-  result.backend = "streaming";
+  result.backend = backend;
 
   // Retained pairs arrive in ascending global-index order — ascending
-  // (left, right) — so CSV rows and kept pairs match the batch backend's
-  // byte for byte without ever materialising the retained set.
+  // (left, right) — so CSV rows and kept pairs are byte-identical across
+  // backends without ever materialising the retained set.
   std::ofstream csv_file;
   bool want_csv = !spec.output.retained_csv.empty();
   if (want_csv) {
@@ -73,7 +78,7 @@ Result<JobResult> RunStreamingOn(const JobSpec& spec,
         }
       };
 
-  StreamingResult run = executor.Run(ConfigFromSpec(spec), sink);
+  MetaBlockingResult run = executor.Run(ConfigFromSpec(spec), sink);
   if (want_csv) {
     Status finished = FinishRetainedCsv(csv_file, spec.output.retained_csv);
     if (!finished.ok()) return finished;
@@ -85,6 +90,11 @@ Result<JobResult> RunStreamingOn(const JobSpec& spec,
   result.num_candidates = prep.num_candidates();
   result.training_size = run.training_size;
   result.model_coefficients = run.model_coefficients;
+  // A materialised pair list is the batch backend's pair-generation cost:
+  // the handle's one-off materialisation, reported by every run against it.
+  if (batch != nullptr) {
+    run.phases.Add(obs::Phase::kPairs, batch->materialize_seconds);
+  }
   ApplyPhaseTimings(run.phases, prepared.prepare_seconds, &result);
   result.shards_used = run.num_shards_used;
   result.sweeps = run.sweeps;
@@ -93,7 +103,7 @@ Result<JobResult> RunStreamingOn(const JobSpec& spec,
   result.prepared_digest = prepared.prepared_digest;
   result.retained_digest = digest.Value();
   result.retained_count = digest.count;
-  GSMB_LOG_INFO("run.done", {"backend", "streaming"},
+  GSMB_LOG_INFO("run.done", {"backend", backend},
                 {"retained", digest.count},
                 {"shards", run.num_shards_used},
                 {"retained_digest", obs::DigestHex(result.retained_digest)});

@@ -24,6 +24,7 @@
 #include "gsmb/prepared.h"
 #include "gsmb/status.h"
 #include "stream/streaming_dataset.h"
+#include "stream/streaming_executor.h"
 
 namespace gsmb::api {
 
@@ -65,23 +66,30 @@ Status FinishRetainedCsv(std::ofstream& out, const std::string& path);
 /// one-off cost (plus any in-run re-blocking the backend put in
 /// Phase::kBlocking), the phase array fills the `*_seconds` breakdown,
 /// and the per-run metric snapshot (result->telemetry) is derived from
-/// the result's own counters — so all three backends report the same
+/// the result's own counters — so every backend reports the same
 /// canonical phase set from the same clock.
 void ApplyPhaseTimings(const obs::PhaseTimings& phases,
                        double prepare_seconds, JobResult* result);
 
 // -- Backend pipelines ------------------------------------------------------
 // The ExecutePrepared() bodies: per-configuration execution against a
-// shared preparation. The batch path materialises the handle's lazy O(|C|)
-// arrays on first use; the streaming path runs straight off the counting
-// preparation; the serving path trains its resident model on the counting
-// preparation too, from the sampled pairs alone (the session still
-// tokenizes its own ingests).
+// shared preparation. Batch and streaming are one pipeline, the executor
+// (stream/streaming_executor.h): batch runs it at one shard over the
+// handle's lazily materialised O(|C|) pair list, streaming at the spec's
+// shards straight off the counting preparation. The serving path trains
+// its resident model on the counting preparation too, from the sampled
+// pairs alone (the session still tokenizes its own ingests).
 
-Result<JobResult> RunBatchOn(const JobSpec& spec,
-                             const PreparedInputs& prepared);
-Result<JobResult> RunStreamingOn(const JobSpec& spec,
-                                 const PreparedInputs& prepared);
+/// Runs the spec on the executor at `options`' shards, reading `batch`'s
+/// pairs when given, and fills the JobResult of the named backend: metrics,
+/// provenance digests, the retained CSV/pairs the spec asks for, and the
+/// phase timings — to which `batch`'s one-off materialisation adds as
+/// pair generation.
+Result<JobResult> RunExecutorOn(const JobSpec& spec,
+                                const PreparedInputs& prepared,
+                                const std::string& backend,
+                                const StreamingOptions& options,
+                                const PreparedInputs::BatchArrays* batch);
 Result<JobResult> RunServingOn(const JobSpec& spec,
                                const PreparedInputs& prepared);
 

@@ -140,7 +140,7 @@ void ForEachPiece(size_t n, size_t num_threads, obs::PhaseTimings* busy,
 
 /// The row kernel of one feature set: its columns and the per-entity terms
 /// every row reads (LCP, log(|B|/|B_i|), log(||B||/||e_i||)). Its two
-/// callers — SweepRows over a given pair list, ScoreCandidateRange over a
+/// callers — Compute over a given pair list, ScoreCandidateRange over a
 /// slice of the global candidate order — share the accumulation and the
 /// column evaluation below.
 class RowKernel {
@@ -329,46 +329,6 @@ class RowKernel {
   std::vector<double> log_ejs_;
 };
 
-/// Evaluates the rows of `pairs` a tile at a time — up to kTileRows
-/// consecutive rows of one pivot — and hands each tile to
-/// sink(first_row, count, values). Workers own whole pivot groups, so each
-/// row is produced exactly once. With `busy`, the workers' seconds in the
-/// kernel are added to its kFeatures and their seconds in the sink (the
-/// classifier, for Score) to its kClassify.
-template <typename Sink>
-void SweepRows(const EntityIndex& index,
-               const std::vector<CandidatePair>& pairs, const FeatureSet& set,
-               size_t num_threads, const std::vector<double>* precomputed_lcp,
-               obs::PhaseTimings* busy, const Sink& sink) {
-  if (pairs.empty()) return;
-  const RowKernel kernel(index, set, num_threads, precomputed_lcp);
-  const bool clean_clean = index.clean_clean();
-  const size_t right_offset = index.num_left();
-
-  const std::vector<std::pair<size_t, size_t>> groups = PivotGroups(pairs);
-  ForEachPiece(groups.size(), num_threads, busy,
-               [&](size_t, size_t begin, size_t end, StageClock& clock) {
-    RowKernel::Scratch scratch(index.num_entities());
-    for (size_t g = begin; g < end; ++g) {
-      const size_t pivot = pairs[groups[g].first].left;  // left global == local
-      kernel.Accumulate<false>(pivot, &scratch);
-      for (size_t first = groups[g].first; first < groups[g].second;
-           first += kTileRows) {
-        const size_t count = std::min(kTileRows, groups[g].second - first);
-        for (size_t r = 0; r < count; ++r) {
-          const CandidatePair& p = pairs[first + r];
-          scratch.tile.other[r] = clean_clean ? right_offset + p.right
-                                              : static_cast<size_t>(p.right);
-        }
-        kernel.EvaluateTile(pivot, count, &scratch);
-        clock.Charge(obs::Phase::kFeatures);
-        sink(first, count, scratch.tile.values);
-        clock.Charge(obs::Phase::kClassify);
-      }
-    }
-  });
-}
-
 }  // namespace
 
 FeatureExtractor::FeatureExtractor(const EntityIndex& index,
@@ -384,25 +344,35 @@ Matrix FeatureExtractor::Compute(const FeatureSet& set, size_t num_threads,
                                  const std::vector<double>* precomputed_lcp)
     const {
   Matrix out(pairs_.size(), set.Dimensions());
-  SweepRows(index_, pairs_, set, num_threads, precomputed_lcp, nullptr,
-            [&](size_t first, size_t count, const double* values) {
-              std::copy(values, values + count * out.cols(), out.Row(first));
-            });
-  return out;
-}
+  if (pairs_.empty()) return out;
+  const RowKernel kernel(index_, set, num_threads, precomputed_lcp);
+  const bool clean_clean = index_.clean_clean();
+  const size_t right_offset = index_.num_left();
 
-std::vector<double> FeatureExtractor::Score(
-    const FeatureSet& set, const ProbabilisticClassifier& model,
-    size_t num_threads, const std::vector<double>* precomputed_lcp,
-    obs::PhaseTimings* busy, double floor) const {
-  std::vector<double> probabilities(pairs_.size());
-  const size_t dims = set.Dimensions();
-  SweepRows(index_, pairs_, set, num_threads, precomputed_lcp, busy,
-            [&](size_t first, size_t count, const double* values) {
-              model.PredictTile(values, count, dims, floor,
-                                probabilities.data() + first);
-            });
-  return probabilities;
+  // Rows a tile at a time — up to kTileRows consecutive rows of one pivot.
+  // Workers own whole pivot groups, so each row is written exactly once.
+  const std::vector<std::pair<size_t, size_t>> groups = PivotGroups(pairs_);
+  ForEachPiece(groups.size(), num_threads, nullptr,
+               [&](size_t, size_t begin, size_t end, StageClock&) {
+    RowKernel::Scratch scratch(index_.num_entities());
+    for (size_t g = begin; g < end; ++g) {
+      const size_t pivot = pairs_[groups[g].first].left;  // left global id
+      kernel.Accumulate<false>(pivot, &scratch);
+      for (size_t first = groups[g].first; first < groups[g].second;
+           first += kTileRows) {
+        const size_t count = std::min(kTileRows, groups[g].second - first);
+        for (size_t r = 0; r < count; ++r) {
+          const CandidatePair& p = pairs_[first + r];
+          scratch.tile.other[r] = clean_clean ? right_offset + p.right
+                                              : static_cast<size_t>(p.right);
+        }
+        kernel.EvaluateTile(pivot, count, &scratch);
+        std::copy(scratch.tile.values, scratch.tile.values + count * out.cols(),
+                  out.Row(first));
+      }
+    }
+  });
+  return out;
 }
 
 size_t ScoredCandidates::LowerRow(uint64_t index) const {
@@ -422,8 +392,10 @@ void ScoreCandidateRange(const EntityIndex& index,
                          const ProbabilisticClassifier& model, double floor,
                          size_t num_threads,
                          const std::vector<double>* precomputed_lcp,
-                         ScoredCandidates* out, obs::PhaseTimings* busy) {
+                         ScoredCandidates* out, obs::PhaseTimings* busy,
+                         const std::vector<CandidatePair>* resident) {
   assert(first <= end && end <= pivot_offsets.back());
+  assert(resident == nullptr || resident->size() == pivot_offsets.back());
   // Every row clears a floor <= 0, so it is written in place with an
   // implicit index; above it, each worker keeps only its rows that clear.
   const bool keep_all = !(floor > 0.0);
@@ -459,12 +431,19 @@ void ScoreCandidateRange(const EntityIndex& index,
           std::min<uint64_t>(pivot_offsets[pivot + 1], first + stop);
       if (row >= pivot_stop) continue;  // a pivot without candidates
 
-      // The sweep that accumulates the pivot's sums also collects its
-      // neighbours; drained ascending, they are PivotNeighbourGenerator's
-      // list, so row pivot_first + i pairs the pivot with neighbours[i].
-      kernel.Accumulate<true>(pivot, &scratch);
+      // Row pivot_first + i pairs the pivot with neighbours[i]: read from
+      // the resident pairs, or collected by the sweep that accumulates the
+      // pivot's sums and drained ascending — PivotNeighbourGenerator's list.
       neighbours.clear();
-      scratch.neighbours.Drain([&](uint32_t g) { neighbours.push_back(g); });
+      if (resident != nullptr) {
+        kernel.Accumulate<false>(pivot, &scratch);
+        for (uint64_t i = pivot_first; i < pivot_offsets[pivot + 1]; ++i) {
+          neighbours.push_back(right_offset + (*resident)[i].right);
+        }
+      } else {
+        kernel.Accumulate<true>(pivot, &scratch);
+        scratch.neighbours.Drain([&](uint32_t g) { neighbours.push_back(g); });
+      }
       assert(neighbours.size() == pivot_offsets[pivot + 1] - pivot_first);
       const auto pair_of = [&](uint64_t i) {
         return CandidatePair{
@@ -476,7 +455,9 @@ void ScoreCandidateRange(const EntityIndex& index,
           out->pairs[i - first] = pair_of(i);
         }
       }
-      clock.Charge(obs::Phase::kPairs);
+      // Without pair generation, the sweep is the rows' feature work.
+      clock.Charge(resident != nullptr ? obs::Phase::kFeatures
+                                       : obs::Phase::kPairs);
 
       while (row < pivot_stop) {
         const auto count =

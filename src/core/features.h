@@ -27,28 +27,29 @@
 // paper describes as its cost, so feature-set runtime comparisons
 // (Figs. 7/9/10) reproduce the paper's shape.
 //
-// The kernel has three consumers, all reading the same rows:
-//   * Compute() copies every tile into a Matrix (tests, benches, serving);
-//   * Score() is the batch executor's fused sweep: the classifier scores
-//     each tile's rows while they are still in cache and only P(match) is
-//     kept, so scoring |C| candidates never allocates the |C|×d matrix;
-//   * ScoreCandidateRange() is the streaming executor's shard fill: it
-//     needs no pair list at all — the sweep that accumulates a pivot's sums
-//     also collects its neighbours, which drain in ascending order from an
-//     AscendingIdSet — and emits the pair and P(match) of each candidate of
-//     a contiguous slice of the global candidate order that clears a floor.
-// Both scorers take the validity floor of the pruning that follows: every
+// The kernel has two consumers, both reading the same rows:
+//   * Compute() copies every tile into a Matrix (tests, benches, serving,
+//     training samples);
+//   * ScoreCandidateRange() is the executor's shard fill: the classifier
+//     scores each tile's rows while they are still in cache and only the
+//     pair and P(match) of each candidate that clears a floor are kept, so
+//     scoring |C| candidates never allocates the |C|×d matrix. It reads each
+//     pivot's neighbours from a resident pair list when one exists, and
+//     otherwise needs no pair list at all — the sweep that accumulates a
+//     pivot's sums also collects its neighbours, which drain in ascending
+//     order from an AscendingIdSet.
+// The floor is the validity threshold of the pruning that follows: every
 // pruning kind weighs only pairs with P(match) >= floor, so each tile goes
 // through ProbabilisticClassifier::PredictTile, which evaluates the link
-// only for rows that can clear it. Score() and ScoreCandidateRange()
-// therefore equal PredictBatch(Compute()) bit for bit at or above the
-// floor, and for every row at a floor <= 0.
+// only for rows that can clear it. ScoreCandidateRange() therefore equals
+// PredictBatch(Compute()) bit for bit at or above the floor, and for every
+// row at a floor <= 0.
 //
-// Score() parallelises over pivot-entity groups, ScoreCandidateRange() over
-// equal candidate counts (a pivot cut by a boundary is swept by both
+// Compute() parallelises over pivot-entity groups, ScoreCandidateRange()
+// over equal candidate counts (a pivot cut by a boundary is swept by both
 // sides); either way each row is written once, so multi-threaded results
-// are bit-identical to serial ones. Both can tally their workers' busy
-// seconds per phase for obs::AttributeFusedRegion.
+// are bit-identical to serial ones. ScoreCandidateRange() can tally its
+// workers' busy seconds per phase for obs::AttributeFusedRegion.
 
 #ifndef GSMB_CORE_FEATURES_H_
 #define GSMB_CORE_FEATURES_H_
@@ -86,25 +87,11 @@ class FeatureExtractor {
   ///
   /// `precomputed_lcp` (optional) supplies the per-entity LCP values of
   /// ComputeLcpPerEntity() so repeated calls over the same index — the
-  /// executors' training rows and scoring sweeps, the streaming executor's
-  /// per-shard fills — pay the O(Σ||b||) LCP pass once instead of once per
-  /// call. Ignored when the set does not contain LCP.
+  /// executor's training rows and per-shard fills — pay the O(Σ||b||) LCP
+  /// pass once instead of once per call. Ignored when the set does not
+  /// contain LCP.
   Matrix Compute(const FeatureSet& set, size_t num_threads = 1,
                  const std::vector<double>* precomputed_lcp = nullptr) const;
-
-  /// P(match) of every pair under `model` (fitted on `set`'s columns)
-  /// without the matrix: each row lives in a worker's stack tile only until
-  /// the model has scored it. Row r equals model.PredictBatch(Compute(set,
-  /// ...))[r] bit for bit wherever that is >= `floor`, and is below `floor`
-  /// elsewhere (ProbabilisticClassifier::PredictTile) — so at a floor <= 0
-  /// every row is bit-identical. Workers write disjoint rows of the result.
-  /// With `busy`, the workers' seconds are added to its kFeatures (sums and
-  /// rows) and kClassify (the model) entries.
-  std::vector<double> Score(
-      const FeatureSet& set, const ProbabilisticClassifier& model,
-      size_t num_threads = 1,
-      const std::vector<double>* precomputed_lcp = nullptr,
-      obs::PhaseTimings* busy = nullptr, double floor = 0.0) const;
 
   /// All nine canonical columns (see FeatureSet::FullMatrixColumns()).
   Matrix ComputeAll(size_t num_threads = 1) const {
@@ -152,31 +139,36 @@ struct ScoredCandidates {
 /// below 2^32), pair and probability; at a floor <= 0 that is every
 /// candidate, with implicit indices. Each kept pair equals
 /// GenerateCandidatePairs' pair at that index and each kept probability
-/// FeatureExtractor(index, those pairs).Score(set, model, ...) at that
-/// index, bit for bit, for any range and thread count. No pair list and no
-/// feature matrix exist: each pivot's neighbours come from the sweep that
-/// accumulates its sums, and each tile is scored (PredictTile at `floor`)
-/// while it is in cache. Work is split across `num_threads` by candidate
-/// count; above a floor of 0 each worker keeps its rows, which are gathered
-/// into `out` at the end. With `busy`, the workers' seconds are added to
-/// its kPairs (sweep, neighbour drain, pair writes), kFeatures (rows) and
-/// kClassify (the model, kept rows) entries.
+/// model.PredictBatch(FeatureExtractor(index, those pairs).Compute(set))
+/// at that index, bit for bit, for any range and thread count. No feature
+/// matrix exists: each tile is scored (PredictTile at `floor`) while it is
+/// in cache. Each pivot's neighbours are read from `resident` when given
+/// (the whole candidate order, GenerateCandidatePairs(index)), and
+/// otherwise come from the sweep that accumulates its sums, so no pair list
+/// is needed; either way the rows and their bits are the same. Work is
+/// split across `num_threads` by candidate count; above a floor of 0 each
+/// worker keeps its rows, which are gathered into `out` at the end. With
+/// `busy`, the workers' seconds are added to its kPairs (sweep, neighbour
+/// drain, pair writes), kFeatures (rows) and kClassify (the model, kept
+/// rows) entries; with `resident` no pair is generated, and the sweep and
+/// pair writes are charged to kFeatures.
 void ScoreCandidateRange(const EntityIndex& index,
                          const std::vector<uint64_t>& pivot_offsets,
                          uint64_t first, uint64_t end, const FeatureSet& set,
                          const ProbabilisticClassifier& model, double floor,
                          size_t num_threads,
                          const std::vector<double>* precomputed_lcp,
-                         ScoredCandidates* out, obs::PhaseTimings* busy);
+                         ScoredCandidates* out, obs::PhaseTimings* busy,
+                         const std::vector<CandidatePair>* resident = nullptr);
 
 /// Feature rows for a few selected candidates — a training sample — in the
 /// order `rows` lists them (the order Fit() sees). `pair_at` resolves a
 /// candidate index to its pair; it is called once per row with ascending
 /// indices, so a caller that regenerates pairs pivot by pivot (the
 /// streaming executor) rebuilds each pivot's neighbours once. Row t equals
-/// row rows[t] of the full candidate set's Compute(set) bit for bit. Shared
-/// by the batch and streaming executors, neither of which holds the full
-/// feature matrix.
+/// row rows[t] of the full candidate set's Compute(set) bit for bit. The
+/// executor and the serving cold build train on rows read through this, so
+/// no full feature matrix exists.
 Matrix SampledFeatureRows(const EntityIndex& index, const FeatureSet& set,
                           const std::vector<size_t>& rows,
                           const std::function<CandidatePair(size_t)>& pair_at,

@@ -2,11 +2,14 @@
 //
 // Prepare*() performs the fixed, per-dataset preprocessing of the paper's
 // Section 5.1: Token Blocking -> Block Purging -> Block Filtering (0.8) ->
-// candidate-pair generation, and records the blocking-quality numbers of
-// Table 2. RunMetaBlocking() then executes one experiment configuration:
-// train the probabilistic classifier on a balanced sample
-// (TrainClassifier, the trainer every backend shares), weight all
-// candidate pairs in one fused feature+classify sweep, prune, and evaluate —
+// the counting preparation (StreamingDataset), plus the materialised
+// candidate pairs and their labels, and records the blocking-quality
+// numbers of Table 2. RunMetaBlocking() then executes one experiment
+// configuration through the one executor every backend runs
+// (StreamingExecutor, stream/streaming_executor.h) at one shard over the
+// materialised pairs: train the probabilistic classifier on a balanced
+// sample (TrainClassifier, the trainer every backend shares), weight the
+// candidate pairs in one fused feature+classify pass, prune, and evaluate —
 // reporting the paper's measures (recall, precision, F1) and the run-time
 // breakdown that makes up RT.
 
@@ -51,29 +54,60 @@ struct BlockingOptions {
   ExecutionOptions execution;
 };
 
-/// A dataset after blocking: everything the experiments reuse across
-/// configurations. Movable, not copyable (owns the entity index).
-struct PreparedDataset {
+/// The counting preparation: a dataset after blocking, with its candidate
+/// set counted but not materialised. The candidates are every
+/// (pivot, neighbour) pair of the entity index in the order
+/// GenerateCandidatePairs emits them; what locates any slice of that order
+/// is only
+///
+///   pivot_offsets      prefix sums of the per-pivot candidate counts; the
+///                      pair at global index i belongs to the pivot p with
+///                      pivot_offsets[p] <= i < pivot_offsets[p+1], and its
+///                      partner is that pivot's (i - pivot_offsets[p])-th
+///                      distinct neighbour. O(#pivots).
+///   positive_indices   the global candidate indices that are ground-truth
+///                      matches, ascending. O(|D ∩ C|) — what the trainer
+///                      (TrainClassifier) samples from, so no label byte
+///                      per candidate is needed.
+///
+/// Both come from one counting sweep over the entity index
+/// (stream/streaming_dataset.h), which also yields the Table-2
+/// blocking-quality numbers. Movable, not copyable (owns the entity index).
+struct StreamingDataset {
   std::string name;
   bool clean_clean = true;
   GroundTruth ground_truth;
   BlockCollection blocks;  // after purging + filtering
   std::unique_ptr<EntityIndex> index;
-  std::vector<CandidatePair> pairs;
-  std::vector<uint8_t> is_positive;  // per candidate pair
-  /// Ascending indices of the positive pairs.
-  std::vector<uint64_t> positive_indices;
   BlockCollectionStats stats;
   BlockingQuality blocking_quality;  // Table 2 row
 
-  size_t num_candidates() const { return pairs.size(); }
+  /// Prefix sums of per-pivot candidate counts; size NumCandidatePivots+1.
+  std::vector<uint64_t> pivot_offsets;
+  /// Ascending global candidate indices that are ground-truth matches.
+  std::vector<uint64_t> positive_indices;
+
+  uint64_t num_candidates() const {
+    return pivot_offsets.empty() ? 0 : pivot_offsets.back();
+  }
+};
+
+/// The counting preparation plus its materialised candidate set, for
+/// callers that read every pair (the paper benches, the feature-matrix
+/// path, the unsupervised baselines). The executor reads `pairs` instead of
+/// collecting each pivot's neighbours from the blocks.
+struct PreparedDataset : StreamingDataset {
+  /// GenerateCandidatePairs(*index): candidate i of the global order.
+  std::vector<CandidatePair> pairs;
+  /// 1 where pairs[i] is a ground-truth match (from positive_indices).
+  std::vector<uint8_t> is_positive;
 };
 
 /// The fixed preprocessing of every preparation path: Block Purging then
 /// Block Filtering with the options' parameters, in "blocking.purge" and
-/// "blocking.filter" spans. Shared with the streaming preparation
-/// (stream/streaming_dataset.cc) so the two paths' implied candidate sets
-/// cannot drift apart.
+/// "blocking.filter" spans. Shared by every preparation path
+/// (stream/streaming_dataset.cc) so their implied candidate sets cannot
+/// drift apart.
 BlockCollection PreprocessBlocks(BlockCollection raw,
                                  const BlockingOptions& options);
 
@@ -112,7 +146,10 @@ struct MetaBlockingConfig {
   /// retained (the paper's 0.5; <= 0 disables it, as the unsupervised
   /// weighting path does).
   double validity_threshold = 0.5;
-  /// Keep per-pair probabilities in the result (Figure 12 needs them).
+  /// Keep every candidate's probability in the result, in candidate order
+  /// (Figs. 12-13 and progressive ER need them). The executor then scores
+  /// at floor 0, so each shard holds all of its candidates; pruning keeps
+  /// its validity threshold.
   bool keep_probabilities = false;
   /// Keep retained pair indices in the result.
   bool keep_retained = false;
@@ -137,9 +174,9 @@ EffectivenessMetrics EvaluateRetained(
     const std::vector<uint32_t>& retained_indices,
     const std::vector<uint8_t>& is_positive, size_t num_ground_truth);
 
-/// Same measures from pre-counted tallies — for callers (the batch and
-/// streaming executors) that count true positives without an is_positive
-/// vector over the whole candidate set.
+/// Same measures from pre-counted tallies — for callers (the executor and
+/// the serving cold build) that count true positives without an
+/// is_positive vector over the whole candidate set.
 EffectivenessMetrics MetricsFromCounts(size_t true_positives, size_t retained,
                                        size_t num_ground_truth);
 
@@ -147,7 +184,11 @@ struct MetaBlockingResult {
   EffectivenessMetrics metrics;
   /// Phase-time breakdown from the telemetry clock (obs::ScopedPhase), the
   /// run's only timing record. It holds features, train, classify and
-  /// prune, so Total() is the paper's RT for Generalized SM.
+  /// prune, so their sum is the paper's RT for Generalized SM, plus pairs
+  /// when the executor regenerates each shard's pairs from the blocks (a
+  /// cost a materialised pair list pays during preparation instead). The
+  /// pairs, features and classify entries of a shard fill are attributed
+  /// shares of its wall time (obs::AttributeFusedRegion).
   obs::PhaseTimings phases;
   size_t training_size = 0;
   /// Classifier coefficients in raw feature space, intercept last
@@ -156,26 +197,16 @@ struct MetaBlockingResult {
   /// Populated only when the config asks for them.
   std::vector<double> probabilities;
   std::vector<uint32_t> retained_indices;
-};
 
-/// The prepare/execute split: everything the execute phase actually READS
-/// of a preparation, as a non-owning view. Callers that share one
-/// preparation across many configurations (Engine::Prepare handles, sweep
-/// harnesses) execute through this without owning a PreparedDataset —
-/// the blocks/index and positive indices can live in a cached, immutable
-/// handle while the pairs come from its lazily materialised batch arrays.
-struct PreparedRef {
-  const std::string* name = nullptr;
-  const EntityIndex* index = nullptr;
-  const BlockCollectionStats* stats = nullptr;
-  const std::vector<CandidatePair>* pairs = nullptr;
-  /// Ascending indices of the ground-truth matches among `pairs`.
-  const std::vector<uint64_t>* positive_indices = nullptr;
-  size_t num_ground_truth = 0;
+  // Execution shape, for benches and diagnostics.
+  size_t num_shards_used = 0;
+  size_t max_shard_candidates = 0;  ///< candidates of the largest shard
+  /// Passes over the candidate space that fill the arena: 1 for every kind,
+  /// or 2 for a weight-based kind whose above-floor survivors overflowed
+  /// their cap at more than one shard (e.g. validity_threshold <= 0), which
+  /// re-scores each shard to apply its thresholds.
+  size_t sweeps = 0;
 };
-
-/// The view of an owning preparation.
-PreparedRef RefOf(const PreparedDataset& dataset);
 
 /// A trainer's row source: the feature rows of the given candidate indices,
 /// in the order they are listed.
@@ -204,28 +235,25 @@ TrainedClassifier TrainClassifier(
     const std::string& dataset_name, obs::PhaseTimings* phases);
 
 /// Runs one configuration end to end (features computed internally and
-/// included in the timing, as the paper's RT does). No |C|×d feature matrix
-/// is built: the classifier trains on the sampled pairs' rows, then
-/// FeatureExtractor::Score weights every candidate in one sweep. Its wall
+/// included in the timing, as the paper's RT does): StreamingExecutor at one
+/// shard over dataset.pairs. No |C|×d feature matrix is built: the
+/// classifier trains on the sampled pairs' rows, then one fused pass scores
+/// every candidate and keeps those at or above the validity floor. Its wall
 /// time is split between `features` and `classify` in proportion to the
-/// workers' busy time in each (obs::AttributeFusedRegion): attributed
-/// shares whose sum is the sweep's wall time. Results equal
+/// workers' busy time in each (obs::AttributeFusedRegion). Results equal
 /// RunMetaBlockingWithFeatures over Compute(config.features) bit for bit.
 MetaBlockingResult RunMetaBlocking(const PreparedDataset& dataset,
-                                   const MetaBlockingConfig& config);
-MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
                                    const MetaBlockingConfig& config);
 
 /// Variant that reuses a precomputed feature matrix whose columns follow
 /// config.features.FullMatrixColumns(). `feature_seconds_hint` is recorded
 /// as the feature-generation time (pass the one-off measured cost, or 0 to
-/// exclude it); classification is timed as `classify`. Used by the
-/// seed-averaging experiment harness.
+/// exclude it); classification is timed as `classify`. It scores every
+/// candidate with PredictBatch and prunes with PruneWithAggregator, apart
+/// from the executor, so the tests hold it as the executor's independent
+/// reference. Used by the seed-averaging experiment harness.
 MetaBlockingResult RunMetaBlockingWithFeatures(
     const PreparedDataset& dataset, const MetaBlockingConfig& config,
-    const Matrix& features, double feature_seconds_hint = 0.0);
-MetaBlockingResult RunMetaBlockingWithFeatures(
-    const PreparedRef& prepared, const MetaBlockingConfig& config,
     const Matrix& features, double feature_seconds_hint = 0.0);
 
 }  // namespace gsmb

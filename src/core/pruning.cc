@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "core/cardinality_pruning.h"
-#include "core/weight_pruning.h"
+#include "core/pruning_aggregates.h"
 
 namespace gsmb {
 
@@ -55,26 +54,15 @@ PruningContext PruningContext::FromIndex(const EntityIndex& index,
   return ctx;
 }
 
+std::vector<uint32_t> PruningAlgorithm::Prune(
+    const std::vector<CandidatePair>& pairs,
+    const std::vector<double>& probabilities,
+    const PruningContext& context) const {
+  return PruneWithAggregator(kind_, pairs, probabilities, context);
+}
+
 std::unique_ptr<PruningAlgorithm> MakePruningAlgorithm(PruningKind kind) {
-  switch (kind) {
-    case PruningKind::kBCl:
-      return std::make_unique<BClPruning>();
-    case PruningKind::kWep:
-      return std::make_unique<WepPruning>();
-    case PruningKind::kWnp:
-      return std::make_unique<WnpPruning>();
-    case PruningKind::kRwnp:
-      return std::make_unique<RwnpPruning>();
-    case PruningKind::kBlast:
-      return std::make_unique<BlastPruning>();
-    case PruningKind::kCep:
-      return std::make_unique<CepPruning>();
-    case PruningKind::kCnp:
-      return std::make_unique<CnpPruning>();
-    case PruningKind::kRcnp:
-      return std::make_unique<RcnpPruning>();
-  }
-  return nullptr;
+  return std::make_unique<PruningAlgorithm>(kind);
 }
 
 std::vector<PruningKind> AllPruningKinds() {

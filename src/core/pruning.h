@@ -82,19 +82,24 @@ struct PruningContext {
                                   const BlockCollectionStats& stats);
 };
 
+/// One pruning kind over an in-memory candidate set. Every kind runs
+/// through the chunk-decomposed aggregators of core/pruning_aggregates.h
+/// (PruneWithAggregator), the code the executors drive shard by shard.
 class PruningAlgorithm {
  public:
-  virtual ~PruningAlgorithm() = default;
+  explicit PruningAlgorithm(PruningKind kind) : kind_(kind) {}
 
   /// Returns the indices (ascending) of retained pairs. `probabilities[i]`
   /// is the classifier weight of `pairs[i]`.
-  virtual std::vector<uint32_t> Prune(
-      const std::vector<CandidatePair>& pairs,
-      const std::vector<double>& probabilities,
-      const PruningContext& context) const = 0;
+  std::vector<uint32_t> Prune(const std::vector<CandidatePair>& pairs,
+                              const std::vector<double>& probabilities,
+                              const PruningContext& context) const;
 
-  virtual PruningKind kind() const = 0;
-  std::string Name() const { return PruningKindName(kind()); }
+  PruningKind kind() const { return kind_; }
+  std::string Name() const { return PruningKindName(kind_); }
+
+ private:
+  PruningKind kind_;
 };
 
 std::unique_ptr<PruningAlgorithm> MakePruningAlgorithm(PruningKind kind);

@@ -16,9 +16,7 @@ inline bool Valid(double p, const PruningContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared building blocks (former internals of weight_pruning.cc and
-// cardinality_pruning.cc, moved here so the streaming executor reuses the
-// exact arithmetic instead of re-implementing it).
+// Shared building blocks of the aggregators.
 // ---------------------------------------------------------------------------
 
 // One chunk's contribution to a node's probability aggregate.

@@ -1,7 +1,6 @@
 // Chunk-decomposed pruning: the shared accumulation machinery behind both
-// the in-memory PruningAlgorithms (core/weight_pruning.cc,
-// core/cardinality_pruning.cc) and the bounded-memory StreamingExecutor
-// (stream/streaming_executor.cc).
+// the in-memory PruningAlgorithm (core/pruning.h) and the executor every
+// batch and streaming job runs (stream/streaming_executor.cc).
 //
 // Every pruning algorithm decomposes into three phases over the global
 // candidate space [0, num_candidates):
@@ -13,24 +12,25 @@
 //      how the candidate space is sliced into shards.
 //   2. Fold — partial aggregates merge into global state in ascending chunk
 //      order. Floating-point addition is not associative, so this fixed fold
-//      order is what makes the batch path, the streaming path, and every
+//      order is what makes PruneWithAggregator, the executor, and every
 //      thread/shard count produce bit-identical aggregates.
 //   3. Decide — either a stateless per-pair predicate (weight-based kinds),
 //      applied after Finalize() to every pair it could keep, or a drain of
 //      the accumulated top-k structures, which carry their pairs
 //      (cardinality kinds). The predicate is false below the validity
-//      threshold, so the streaming path applies it only to the above-floor
-//      pairs it kept from the first sweep; it sweeps the candidates a
-//      second time only when those overflow their memory cap.
+//      threshold, so the executor applies it only to the above-floor pairs
+//      it kept from the first sweep; it sweeps the candidates a second time
+//      only when those overflow their memory cap.
 //
 // Every aggregator skips the rows below the validity threshold, so a chunk
-// may hold only the rows at or above it (the streaming path's shards hold
-// nothing else), each carrying its global index: every aggregator then
-// folds exactly the rows it would fold from the full chunk, in the same
-// order.
+// may hold only the rows at or above it (the executor's shards hold nothing
+// else unless the job keeps every probability), each carrying its global
+// index: every aggregator then folds exactly the rows it would fold from
+// the full chunk, in the same order.
 //
-// The batch path materialises all pairs and calls PruneWithAggregator; the
-// streaming path feeds the same aggregator one shard-sized slice of chunks
+// PruneWithAggregator takes every pair and probability in memory (the
+// feature-matrix path, RunMetaBlockingWithFeatures, and PruningAlgorithm);
+// the executor feeds the same aggregator one shard-sized slice of chunks
 // at a time and folds after each shard, which is the identical fold
 // sequence. That shared code path — not a parallel reimplementation — is
 // the bit-identity guarantee.
@@ -49,8 +49,8 @@ namespace gsmb {
 
 /// One deterministic chunk of the candidate space: its rows in ascending
 /// global candidate index. Without `indices` the chunk is whole and row j
-/// is candidate `first_index` + j (in the batch path the offset into the
-/// full arrays; in the streaming path the arrays are shard-local slices).
+/// is candidate `first_index` + j (in PruneWithAggregator the offset into
+/// the full arrays; in the executor the arrays are shard-local slices).
 /// With `indices`, row j is candidate indices[j], and the chunk may omit
 /// any rows below the validity threshold.
 struct PairChunkView {
@@ -115,9 +115,9 @@ class PruningAggregator {
 
   /// Weight-based decision for candidate `global_index` (valid only after
   /// Finalize()). Pure and thread-safe. Always false when `probability` is
-  /// below the context's validity_threshold: the streaming executor relies
-  /// on that to apply Keep() to the above-floor pairs of its first sweep
-  /// only, and PruningSweep.AllRetainedAreValid pins it for the batch path.
+  /// below the context's validity_threshold: the executor relies on that to
+  /// apply Keep() to the above-floor pairs of its first sweep only, and
+  /// PruningSweep.AllRetainedAreValid pins it for PruneWithAggregator.
   virtual bool Keep(size_t global_index, const CandidatePair& pair,
                     double probability) const = 0;
 
@@ -131,7 +131,7 @@ class PruningAggregator {
 std::unique_ptr<PruningAggregator> MakePruningAggregator(
     PruningKind kind, size_t num_chunks, const PruningContext& context);
 
-/// The fully in-memory driver every PruningAlgorithm::Prune delegates to:
+/// The fully in-memory driver PruningAlgorithm::Prune delegates to:
 /// accumulate all chunks in parallel, fold once in chunk order, then decide.
 /// Bit-identical for any `context.execution.num_threads`.
 std::vector<uint32_t> PruneWithAggregator(

@@ -153,17 +153,20 @@ StreamingDataset PrepareStreamingFromBlocks(const std::string& name,
                                     std::move(ground_truth), num_threads);
 }
 
-TrainedClassifier TrainClassifier(const StreamingDataset& dataset,
-                                  const MetaBlockingConfig& config,
-                                  const std::vector<double>* lcp,
-                                  obs::PhaseTimings* phases) {
+TrainedClassifier TrainClassifier(
+    const StreamingDataset& dataset, const MetaBlockingConfig& config,
+    const std::vector<double>* lcp, obs::PhaseTimings* phases,
+    const std::vector<CandidatePair>* resident) {
   PairRegenerator regenerate(*dataset.index, dataset.pivot_offsets);
   return TrainClassifier(
       dataset.positive_indices, dataset.num_candidates(), config,
       [&](const std::vector<size_t>& rows) {
         return SampledFeatureRows(
             *dataset.index, config.features, rows,
-            [&](size_t row) { return regenerate.At(row); },
+            [&](size_t row) {
+              return resident != nullptr ? (*resident)[row]
+                                         : regenerate.At(row);
+            },
             config.execution.num_threads, lcp);
       },
       dataset.name, phases);

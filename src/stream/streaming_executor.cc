@@ -55,9 +55,10 @@ class SurvivorList {
 
 }  // namespace
 
-StreamingExecutor::StreamingExecutor(const StreamingDataset& dataset,
-                                     StreamingOptions options)
-    : dataset_(dataset), options_(options) {
+StreamingExecutor::StreamingExecutor(
+    const StreamingDataset& dataset, StreamingOptions options,
+    const std::vector<CandidatePair>* resident)
+    : dataset_(dataset), options_(options), resident_(resident) {
   if (options_.num_shards == 0 && options_.memory_budget_mb == 0) {
     throw std::invalid_argument(
         "StreamingExecutor: options need num_shards > 0 or a positive "
@@ -107,34 +108,37 @@ void StreamingExecutor::FillArena(const ShardSlice& shard,
                                   const ProbabilisticClassifier& model,
                                   const std::vector<double>* lcp,
                                   ScoredCandidates* arena,
-                                  StreamingResult* timings) const {
+                                  obs::PhaseTimings* phases) const {
   // Pairs, features and classify interleave per pivot tile inside each
   // worker, so the fill's wall time is split over the three phases by the
-  // workers' busy tallies.
+  // workers' busy tallies (features and classify alone when the pairs are
+  // read from the resident list).
   {
-    obs::FusedPhases phases(&timings->phases, obs::Phase::kPairs);
-    ScoreCandidateRange(*dataset_.index, dataset_.pivot_offsets,
-                        shard.first_index, shard.end_index, config.features,
-                        model, config.validity_threshold,
-                        config.execution.num_threads, lcp, arena,
-                        phases.busy());
+    obs::FusedPhases fused(phases, resident_ != nullptr
+                                       ? obs::Phase::kFeatures
+                                       : obs::Phase::kPairs);
+    ScoreCandidateRange(
+        *dataset_.index, dataset_.pivot_offsets, shard.first_index,
+        shard.end_index, config.features, model,
+        config.keep_probabilities ? 0.0 : config.validity_threshold,
+        config.execution.num_threads, lcp, arena, fused.busy(), resident_);
   }
   obs::GaugeMax("arena.bytes.peak", static_cast<double>(arena->Bytes()));
 }
 
-StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
-                                       const RetainedSink& sink) const {
+MetaBlockingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
+                                          const RetainedSink& sink) const {
   const EntityIndex& index = *dataset_.index;
   const uint64_t n64 = dataset_.num_candidates();
   if (n64 > std::numeric_limits<uint32_t>::max()) {
     throw std::runtime_error(
         "StreamingExecutor: candidate count exceeds the 32-bit pair index "
-        "space shared with the batch path");
+        "space");
   }
   const auto n = static_cast<size_t>(n64);
   const std::vector<ChunkRange> chunks = DeterministicChunks(n);
 
-  StreamingResult result;
+  MetaBlockingResult result;
   const std::vector<ShardSlice> shards =
       PlanShards(chunks.size(), config.features.Dimensions());
   result.num_shards_used = shards.size();
@@ -154,14 +158,14 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
     lcp_ptr = &lcp;
   }
 
-  // ---- Training: the batch path's sample, its rows and fit. ----
+  // ---- Training: the balanced sample, its rows and fit. ----
   const TrainedClassifier trained =
-      TrainClassifier(dataset_, config, lcp_ptr, &result.phases);
+      TrainClassifier(dataset_, config, lcp_ptr, &result.phases, resident_);
   const ProbabilisticClassifier& model = *trained.model;
   result.training_size = trained.training_size;
   result.model_coefficients = model.CoefficientsWithIntercept();
 
-  // ---- Pruning context, identical to the batch path's. ----
+  // ---- Pruning context, identical to the in-memory pruners'. ----
   PruningContext context =
       PruningContext::FromIndex(index, dataset_.stats);
   context.blast_ratio = config.blast_ratio;
@@ -172,7 +176,8 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
       MakePruningAggregator(config.pruning, chunks.size(), context);
   const size_t threads = config.execution.num_threads;
   // The resident shard: the candidates its fill kept, those at or above
-  // the validity threshold (every candidate at a threshold <= 0).
+  // the validity threshold (every candidate at a threshold <= 0 or when
+  // the config keeps every probability).
   ScoredCandidates arena;
   // Weight-based kinds keep every shard's rows but the last for emission.
   // Those may hold (StreamingArenaBytesPerPair(1) - kKeptRowBytes) bytes per
@@ -227,7 +232,12 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   ++result.sweeps;
   for (size_t s = 0; s < shards.size(); ++s) {
     const ShardSlice& shard = shards[s];
-    FillArena(shard, config, model, lcp_ptr, &arena, &result);
+    FillArena(shard, config, model, lcp_ptr, &arena, &result.phases);
+    if (config.keep_probabilities && shards.size() > 1) {
+      result.probabilities.insert(result.probabilities.end(),
+                                  arena.probabilities.begin(),
+                                  arena.probabilities.end());
+    }
     obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
     if (!aggregator->needs_accumulation()) {
       emit_kept(arena);
@@ -282,10 +292,14 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
     // The survivors overflowed: fill each shard again and apply Keep().
     ++result.sweeps;
     for (const ShardSlice& shard : shards) {
-      FillArena(shard, config, model, lcp_ptr, &arena, &result);
+      FillArena(shard, config, model, lcp_ptr, &arena, &result.phases);
       obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
       emit_kept(arena);
     }
+  }
+  // At one shard the arena holds every probability already, in order.
+  if (config.keep_probabilities && shards.size() == 1) {
+    result.probabilities = std::move(arena.probabilities);
   }
 
   obs::CounterAdd("pairs.generated", n64);

@@ -1,22 +1,26 @@
-// StreamingExecutor: bounded-memory, out-of-core execution of the full
-// weight -> classify -> prune pipeline.
+// StreamingExecutor: the one executor of the weight -> classify -> prune
+// pipeline. Every batch and streaming job runs through it: the batch
+// backend and RunMetaBlocking at one shard over a resident pair list, the
+// streaming backend at many shards with no pair list at all.
 //
-// The batch path (RunMetaBlocking) holds the candidate set, its labels
-// and the probability vector in RAM at once — O(|C|) each, which caps it
-// well below the paper's X10 scalability series. The executor instead
-// slices the GLOBAL candidate order into contiguous, chunk-aligned shards
-// and drains them one at a time through an arena that holds only the
-// shard's kept rows — the candidates at or above the validity threshold,
-// the only ones any pruning kind weighs, each with its global index, pair
-// and probability (at a threshold <= 0, every candidate, indices
-// implicit):
+// The executor slices the GLOBAL candidate order into contiguous,
+// chunk-aligned shards and drains them one at a time through an arena
+// that holds only the shard's kept rows — the candidates at or above the
+// validity threshold, the only ones any pruning kind weighs, each with its
+// global index, pair and probability (at a threshold <= 0, or when the job
+// keeps every probability, every candidate, indices implicit):
 //
 //   fill the arena in one pass (ScoreCandidateRange, core/features.h:
-//   each pivot's blocks are swept once, yielding its neighbours and their
-//   feature sums; each tile of rows is scored while it is in cache, the
-//   link evaluated only where it can clear the threshold)
+//   each pivot's blocks are swept once, yielding its feature sums, and its
+//   neighbours are read from the resident pairs or collected by the same
+//   sweep; each tile of rows is scored while it is in cache, the link
+//   evaluated only where it can clear the threshold)
 //   -> feed the shard's chunks of kept rows to the pruning aggregator
 //   -> fold -> next shard
+//
+// Unless the job keeps every probability, no probability vector over the
+// whole candidate set exists, so a resident pair list is the only O(|C|)
+// array a batch job holds.
 //
 // No per-shard feature matrix exists. The fill's pairs, features and
 // classify phases interleave inside each worker, so their seconds are
@@ -37,26 +41,30 @@
 // structures, whose entries carry their pairs. Peak memory is O(largest
 // shard + |E| + aggregates), never O(|C|).
 //
-// Bit-identity. The retained set equals RunMetaBlocking's for EVERY shard
-// count and thread count, by construction rather than by luck:
-//   * shards are whole numbers of the same DeterministicChunks the batch
-//     pruners use, processed in ascending order, so per-chunk partials
-//     fold in exactly the batch fold order (floating-point addition is not
-//     associative — this ordering is the load-bearing invariant);
+// Bit-identity. The retained set is the same for EVERY shard count,
+// thread count and pair source, and equals the in-memory pruners'
+// (PruneWithAggregator over PredictBatch of the full feature matrix, as
+// RunMetaBlockingWithFeatures runs it), by construction rather than by
+// luck:
+//   * shards are whole numbers of the same DeterministicChunks the
+//     in-memory pruners use, processed in ascending order, so per-chunk
+//     partials fold in exactly their fold order (floating-point addition
+//     is not associative — this ordering is the load-bearing invariant);
 //   * a feature row is a pure function of (pivot, neighbour) and the
 //     global EntityIndex, so per-shard scoring reproduces the rows and
-//     probabilities of the batch sweep bit for bit (core/features.cc
+//     probabilities of the full matrix bit for bit (core/features.cc
 //     sweeps the pivot's blocks identically regardless of which rows are
-//     requested, and a pivot cut by a shard boundary is swept by both);
-//   * training is the batch path's TrainClassifier (core/pipeline.h):
-//     the same balanced sample over the same positive indices, its rows
-//     from the same SampledFeatureRows (core/features.h) with the pairs
-//     regenerated instead of read from a list — same rows, same row order
-//     — so the fitted model is identical.
+//     requested or where the neighbours come from, and a pivot cut by a
+//     shard boundary is swept by both);
+//   * training is TrainClassifier (core/pipeline.h): the same balanced
+//     sample over the same positive indices, its rows from the same
+//     SampledFeatureRows (core/features.h), the pairs read from the
+//     resident list or regenerated — same rows, same row order — so the
+//     fitted model is identical.
 //
 // Deliberate departure from the serving layer (serve/session.h): serving
 // hash-shards TOKENS so a shard is refreshable in isolation; here shards
-// must replay the batch fold order, so they are contiguous chunk-aligned
+// must replay the in-memory fold order, so they are contiguous chunk-aligned
 // slices of the candidate space instead. The shared discipline is the
 // bounded per-shard arena, not the hash.
 
@@ -109,34 +117,8 @@ struct StreamingOptions {
   /// When > 0, the shard count is raised (never lowered) until one shard's
   /// arena, as StreamingArenaBytesPerPair models it, fits this budget. The
   /// budget covers the arena, not the resident EntityIndex/aggregates,
-  /// which are O(|E|) and shared with the batch path.
+  /// which are O(|E|) and the same at any shard count.
   size_t memory_budget_mb = 0;
-};
-
-struct StreamingResult {
-  EffectivenessMetrics metrics;
-  /// Phase-time breakdown from the telemetry clock (obs::ScopedPhase), the
-  /// run's only timing record. Phase::kPairs (pair regeneration, a cost the
-  /// batch path pays during preparation instead) is part of Total() so
-  /// streaming-vs-batch wall-clock comparisons are fair. The pairs,
-  /// features and classify entries are attributed shares of the fused
-  /// shard fills (obs::AttributeFusedRegion).
-  obs::PhaseTimings phases;
-  size_t training_size = 0;
-  /// Classifier coefficients in raw feature space, intercept last —
-  /// bit-identical to the batch path's.
-  std::vector<double> model_coefficients;
-  /// Populated only when config.keep_retained is set (it is O(retained)).
-  std::vector<uint32_t> retained_indices;
-
-  // Execution shape, for benches and diagnostics.
-  size_t num_shards_used = 0;
-  size_t max_shard_candidates = 0;  ///< candidates of the largest shard
-  /// Passes over the candidate space that fill the arena: 1 for every kind,
-  /// or 2 for a weight-based kind whose above-floor survivors overflowed
-  /// their cap at more than one shard (e.g. validity_threshold <= 0), which
-  /// re-scores each shard to apply its thresholds.
-  size_t sweeps = 0;
 };
 
 class StreamingExecutor {
@@ -148,19 +130,26 @@ class StreamingExecutor {
       std::function<void(uint32_t index, const CandidatePair& pair,
                          double probability)>;
 
-  /// Throws std::invalid_argument when `options` is unusable (no shards
-  /// and no memory budget).
-  StreamingExecutor(const StreamingDataset& dataset, StreamingOptions options);
+  /// `resident` (optional) is the dataset's materialised candidate order,
+  /// GenerateCandidatePairs(*dataset.index): shard fills and training then
+  /// read pairs from it instead of regenerating them from the blocks. It
+  /// changes no result, only where the pairs come from. Throws
+  /// std::invalid_argument when `options` is unusable (no shards and no
+  /// memory budget).
+  StreamingExecutor(const StreamingDataset& dataset, StreamingOptions options,
+                    const std::vector<CandidatePair>* resident = nullptr);
 
   /// Runs one configuration end to end. The retained set — and therefore
-  /// metrics and coefficients — is bit-identical to
-  /// RunMetaBlocking(PreparedDataset, config) on the same input blocks,
-  /// for any shard/thread combination.
-  StreamingResult Run(const MetaBlockingConfig& config) const {
+  /// metrics and coefficients — is bit-identical for any shard/thread
+  /// combination, with or without a resident pair list.
+  /// config.keep_probabilities fills every shard at floor 0 and returns
+  /// every candidate's probability in candidate order; retained_indices
+  /// are kept when config.keep_retained is set (they are O(retained)).
+  MetaBlockingResult Run(const MetaBlockingConfig& config) const {
     return Run(config, RetainedSink());
   }
-  StreamingResult Run(const MetaBlockingConfig& config,
-                      const RetainedSink& sink) const;
+  MetaBlockingResult Run(const MetaBlockingConfig& config,
+                         const RetainedSink& sink) const;
 
  private:
   struct ShardSlice {
@@ -173,16 +162,18 @@ class StreamingExecutor {
   std::vector<ShardSlice> PlanShards(size_t num_chunks,
                                      size_t feature_dims) const;
   /// Fills `arena` with the kept rows of candidates [shard.first_index,
-  /// shard.end_index) — those at or above config.validity_threshold — in
-  /// one ScoreCandidateRange pass, adding its attributed
-  /// pairs/features/classify seconds to `timings`.
+  /// shard.end_index) — those at or above config.validity_threshold, or
+  /// all of them when the config keeps every probability — in one
+  /// ScoreCandidateRange pass, adding its attributed pairs/features/classify
+  /// seconds to `phases`.
   void FillArena(const ShardSlice& shard, const MetaBlockingConfig& config,
                  const ProbabilisticClassifier& model,
                  const std::vector<double>* lcp, ScoredCandidates* arena,
-                 StreamingResult* timings) const;
+                 obs::PhaseTimings* phases) const;
 
   const StreamingDataset& dataset_;
   StreamingOptions options_;
+  const std::vector<CandidatePair>* resident_;
 };
 
 }  // namespace gsmb

@@ -58,6 +58,9 @@ TEST(EngineEquivalence, AllPruningKindsAcrossAllThreeBackends) {
     const JobResult batch = MustRun(spec);
     ASSERT_GT(batch.metrics.retained, 0u)
         << PruningKindName(pruning) << ": empty retained set";
+    // Batch is the executor at one shard: every kind fills it once.
+    EXPECT_EQ(batch.shards_used, 1u) << PruningKindName(pruning);
+    EXPECT_EQ(batch.sweeps, 1u) << PruningKindName(pruning);
 
     spec.execution.mode = ExecutionMode::kStreaming;
     const JobResult streaming = MustRun(spec);

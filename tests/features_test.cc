@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -239,32 +240,8 @@ TEST(FeatureKernel, AllColumnsBitsPinnedDirty) {
   EXPECT_EQ(FoldBits(extractor.ComputeAll(4).data()), 0x288816b1398e1f90ULL);
 }
 
-// Score() is the fused sweep: the same rows as Compute(), scored in place.
-TEST(FeatureKernel, ScoreEqualsPredictBatchOfCompute) {
-  for (const PreparedDataset* prep : {&gsmb::testing::MediumDataset(),
-                                      &gsmb::testing::SmallDirtyDataset()}) {
-    FeatureExtractor extractor(*prep->index, prep->pairs);
-    for (const FeatureSet& set :
-         {FeatureSet::BlastOptimal(), FeatureSet::RcnpOptimal(),
-          FeatureSet::Paper2014(), FeatureSet::All()}) {
-      const Matrix features = extractor.Compute(set, 1);
-      Rng rng(5);
-      const TrainingSet training = SampleBalanced(prep->is_positive, 25, &rng);
-      auto model = MakeClassifier(ClassifierKind::kLogisticRegression);
-      model->Fit(features.SelectRows(training.row_indices), training.labels);
-      for (size_t threads : {1, 4}) {
-        EXPECT_EQ(extractor.Score(set, *model, threads),
-                  model->PredictBatch(extractor.Compute(set, threads),
-                                      threads))
-            << prep->name << " " << set.ToString() << " " << threads
-            << " threads";
-      }
-    }
-  }
-}
-
 /// Prefix sums of the per-pivot candidate counts of `prep.pairs` — what the
-/// streaming preparation counts without materialising the pairs.
+/// counting preparation counts without materialising the pairs.
 std::vector<uint64_t> PivotOffsets(const PreparedDataset& prep) {
   std::vector<uint64_t> offsets(NumCandidatePivots(*prep.index) + 1, 0);
   for (const CandidatePair& pair : prep.pairs) ++offsets[pair.left + 1];
@@ -281,13 +258,56 @@ std::vector<uint64_t> Bits(const std::vector<double>& values) {
   return bits;
 }
 
-// ScoreCandidateRange() is the streaming shard fill: it regenerates the
-// pairs of a slice of the global candidate order and scores them in the
-// same pass. At floor 0 it keeps every row, with implicit indices: its
-// pairs must be that slice of GenerateCandidatePairs and its probabilities
-// that slice of Score(), bit for bit, wherever the slice starts and ends.
-// At floor 0.5 it keeps exactly the slice's rows whose Score() is >= 0.5,
-// each with its global index, pair and probability bits.
+/// A `kind` classifier fitted on `set`'s rows of a fixed balanced sample.
+std::unique_ptr<ProbabilisticClassifier> FitModel(
+    const PreparedDataset& prep, const FeatureSet& set,
+    ClassifierKind kind = ClassifierKind::kLogisticRegression) {
+  Rng rng(5);
+  const TrainingSet training = SampleBalanced(prep.is_positive, 25, &rng);
+  auto model = MakeClassifier(kind);
+  model->Fit(FeatureExtractor(*prep.index, prep.pairs)
+                 .Compute(set)
+                 .SelectRows(training.row_indices),
+             training.labels);
+  return model;
+}
+
+// The batch executor's fill: the whole candidate order, read from the
+// resident pair list and scored in place at floor 0, is PredictBatch of
+// Compute() bit for bit, for any feature set and thread count.
+TEST(FeatureKernel, ScoreEqualsPredictBatchOfCompute) {
+  for (const PreparedDataset* prep : {&gsmb::testing::MediumDataset(),
+                                      &gsmb::testing::SmallDirtyDataset()}) {
+    FeatureExtractor extractor(*prep->index, prep->pairs);
+    for (const FeatureSet& set :
+         {FeatureSet::BlastOptimal(), FeatureSet::RcnpOptimal(),
+          FeatureSet::Paper2014(), FeatureSet::All()}) {
+      const auto model = FitModel(*prep, set);
+      for (size_t threads : {1, 4}) {
+        ScoredCandidates kept;
+        ScoreCandidateRange(*prep->index, prep->pivot_offsets, 0,
+                            prep->num_candidates(), set, *model, 0.0, threads,
+                            nullptr, &kept, nullptr, &prep->pairs);
+        EXPECT_EQ(kept.pairs, prep->pairs);
+        EXPECT_EQ(Bits(kept.probabilities),
+                  Bits(model->PredictBatch(extractor.Compute(set, threads),
+                                           threads)))
+            << prep->name << " " << set.ToString() << " " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
+// ScoreCandidateRange() is the executor's shard fill: it scores the pairs
+// of a slice of the global candidate order in one pass, reading them from
+// the resident pair list or regenerating them from the blocks. At floor 0
+// it keeps every row, with implicit indices: its pairs must be that slice
+// of GenerateCandidatePairs and its probabilities that slice of
+// PredictBatch(Compute()), bit for bit, wherever the slice starts and ends.
+// At floor 0.5 it keeps exactly the slice's rows whose PredictBatch() is
+// >= 0.5, each with its global index, pair and probability bits. Either
+// pair source keeps the same rows with the same bits.
 TEST(FeatureKernel, ScoreCandidateRangeEqualsSliceOfScore) {
   for (const PreparedDataset* prep : {&gsmb::testing::MediumDataset(),
                                       &gsmb::testing::SmallDirtyDataset()}) {
@@ -310,49 +330,53 @@ TEST(FeatureKernel, ScoreCandidateRangeEqualsSliceOfScore) {
     for (const FeatureSet& set :
          {FeatureSet::BlastOptimal(), FeatureSet::RcnpOptimal(),
           FeatureSet::Paper2014(), FeatureSet::All()}) {
-      Rng rng(5);
-      const TrainingSet training = SampleBalanced(prep->is_positive, 25, &rng);
-      auto model = MakeClassifier(ClassifierKind::kLogisticRegression);
-      model->Fit(extractor.Compute(set).SelectRows(training.row_indices),
-                 training.labels);
-      const std::vector<double> scored = extractor.Score(set, *model, 1);
+      const auto model = FitModel(*prep, set);
+      const std::vector<double> scored =
+          model->PredictBatch(extractor.Compute(set), 1);
       for (size_t threads : {1, 4}) {
-        for (const auto& [first, end] : ranges) {
-          SCOPED_TRACE(prep->name + " " + set.ToString() + " [" +
-                       std::to_string(first) + ", " + std::to_string(end) +
-                       ") " + std::to_string(threads) + " threads");
-          ScoredCandidates kept;
-          kept.indices = {7};  // overwritten
-          kept.pairs = {{1, 2}};
-          kept.probabilities = {0.5};
-          ScoreCandidateRange(*prep->index, offsets, first, end, set, *model,
-                              0.0, threads, nullptr, &kept, nullptr);
-          EXPECT_EQ(kept.first, first);
-          EXPECT_TRUE(kept.indices.empty());
-          EXPECT_EQ(kept.pairs, std::vector<CandidatePair>(
-                                    prep->pairs.begin() + first,
-                                    prep->pairs.begin() + end));
-          EXPECT_EQ(Bits(kept.probabilities),
-                    Bits(std::vector<double>(scored.begin() + first,
-                                             scored.begin() + end)));
+        for (const std::vector<CandidatePair>* resident :
+             {static_cast<const std::vector<CandidatePair>*>(nullptr),
+              &prep->pairs}) {
+          for (const auto& [first, end] : ranges) {
+            SCOPED_TRACE(prep->name + " " + set.ToString() + " [" +
+                         std::to_string(first) + ", " + std::to_string(end) +
+                         ") " + std::to_string(threads) + " threads" +
+                         (resident != nullptr ? ", resident pairs" : ""));
+            ScoredCandidates kept;
+            kept.indices = {7};  // overwritten
+            kept.pairs = {{1, 2}};
+            kept.probabilities = {0.5};
+            ScoreCandidateRange(*prep->index, offsets, first, end, set,
+                                *model, 0.0, threads, nullptr, &kept, nullptr,
+                                resident);
+            EXPECT_EQ(kept.first, first);
+            EXPECT_TRUE(kept.indices.empty());
+            EXPECT_EQ(kept.pairs, std::vector<CandidatePair>(
+                                      prep->pairs.begin() + first,
+                                      prep->pairs.begin() + end));
+            EXPECT_EQ(Bits(kept.probabilities),
+                      Bits(std::vector<double>(scored.begin() + first,
+                                               scored.begin() + end)));
 
-          std::vector<uint32_t> indices;
-          std::vector<CandidatePair> pairs;
-          std::vector<double> probabilities;
-          for (uint64_t i = first; i < end; ++i) {
-            if (scored[i] >= 0.5) {
-              indices.push_back(static_cast<uint32_t>(i));
-              pairs.push_back(prep->pairs[i]);
-              probabilities.push_back(scored[i]);
+            std::vector<uint32_t> indices;
+            std::vector<CandidatePair> pairs;
+            std::vector<double> probabilities;
+            for (uint64_t i = first; i < end; ++i) {
+              if (scored[i] >= 0.5) {
+                indices.push_back(static_cast<uint32_t>(i));
+                pairs.push_back(prep->pairs[i]);
+                probabilities.push_back(scored[i]);
+              }
             }
-          }
-          ScoreCandidateRange(*prep->index, offsets, first, end, set, *model,
-                              0.5, threads, nullptr, &kept, nullptr);
-          EXPECT_EQ(kept.indices, indices);
-          EXPECT_EQ(kept.pairs, pairs);
-          EXPECT_EQ(Bits(kept.probabilities), Bits(probabilities));
-          for (size_t j = 0; j < kept.size(); ++j) {
-            EXPECT_EQ(kept.IndexOf(j), indices[j]);
+            ScoreCandidateRange(*prep->index, offsets, first, end, set,
+                                *model, 0.5, threads, nullptr, &kept, nullptr,
+                                resident);
+            EXPECT_EQ(kept.indices, indices);
+            EXPECT_EQ(kept.pairs, pairs);
+            EXPECT_EQ(Bits(kept.probabilities), Bits(probabilities));
+            for (size_t j = 0; j < kept.size(); ++j) {
+              EXPECT_EQ(kept.IndexOf(j), indices[j]);
+            }
           }
         }
       }
@@ -360,42 +384,39 @@ TEST(FeatureKernel, ScoreCandidateRangeEqualsSliceOfScore) {
   }
 }
 
-// At a floor, Score() keeps PredictBatch(Compute())'s bits for every row at
-// or above it, and leaves every other row below it, for every classifier.
+// At a floor, the fill keeps exactly the rows whose PredictBatch(Compute())
+// is at or above it, with those bits, for every classifier.
 TEST(FeatureKernel, ScoreAtAFloorKeepsEveryRowThatClearsIt) {
   for (const PreparedDataset* prep : {&gsmb::testing::MediumDataset(),
                                       &gsmb::testing::SmallDirtyDataset()}) {
     FeatureExtractor extractor(*prep->index, prep->pairs);
     const FeatureSet set = FeatureSet::BlastOptimal();
     const Matrix features = extractor.Compute(set, 1);
-    Rng rng(5);
-    const TrainingSet training = SampleBalanced(prep->is_positive, 25, &rng);
     for (ClassifierKind kind :
          {ClassifierKind::kLogisticRegression, ClassifierKind::kLinearSvc,
           ClassifierKind::kGaussianNaiveBayes}) {
-      auto model = MakeClassifier(kind);
-      model->Fit(features.SelectRows(training.row_indices), training.labels);
+      const auto model = FitModel(*prep, set, kind);
       const std::vector<double> full = model->PredictBatch(features, 1);
       for (double floor : {0.5, 0.9}) {
-        for (size_t threads : {1, 4}) {
-          const std::vector<double> scored =
-              extractor.Score(set, *model, threads, nullptr, nullptr, floor);
-          ASSERT_EQ(scored.size(), full.size());
-          size_t kept = 0;
-          size_t wrong = 0;
-          for (size_t r = 0; r < full.size(); ++r) {
-            if (full[r] >= floor) {
-              ++kept;
-              wrong += Bits({scored[r]}) != Bits({full[r]});
-            } else {
-              wrong += !(scored[r] < floor);
-            }
+        std::vector<uint32_t> indices;
+        std::vector<double> probabilities;
+        for (size_t r = 0; r < full.size(); ++r) {
+          if (full[r] >= floor) {
+            indices.push_back(static_cast<uint32_t>(r));
+            probabilities.push_back(full[r]);
           }
-          EXPECT_EQ(wrong, 0u) << prep->name << " " << ClassifierKindName(kind)
-                               << " floor " << floor << " " << threads
-                               << " threads";
-          EXPECT_GT(kept, 0u);
-          EXPECT_LT(kept, full.size());
+        }
+        EXPECT_GT(indices.size(), 0u);
+        EXPECT_LT(indices.size(), full.size());
+        for (size_t threads : {1, 4}) {
+          ScoredCandidates kept;
+          ScoreCandidateRange(*prep->index, prep->pivot_offsets, 0,
+                              prep->num_candidates(), set, *model, floor,
+                              threads, nullptr, &kept, nullptr, &prep->pairs);
+          EXPECT_EQ(kept.indices, indices);
+          EXPECT_EQ(Bits(kept.probabilities), Bits(probabilities))
+              << prep->name << " " << ClassifierKindName(kind) << " floor "
+              << floor << " " << threads << " threads";
         }
       }
     }
@@ -403,38 +424,37 @@ TEST(FeatureKernel, ScoreAtAFloorKeepsEveryRowThatClearsIt) {
 }
 
 // The busy tallies the fused-region attribution splits wall time by: the
-// range scorer charges its three stages and nothing else; Score() its two.
+// fill charges its three stages and nothing else, and reading the resident
+// pairs charges no pair generation — the sweep is then feature work.
 TEST(FeatureKernel, ScorersTallyBusySecondsPerStage) {
   const PreparedDataset& prep = gsmb::testing::SmallDirtyDataset();
-  const std::vector<uint64_t> offsets = PivotOffsets(prep);
   const FeatureSet set = FeatureSet::BlastOptimal();
-  FeatureExtractor extractor(*prep.index, prep.pairs);
-  Rng rng(5);
-  const TrainingSet training = SampleBalanced(prep.is_positive, 25, &rng);
-  auto model = MakeClassifier(ClassifierKind::kLogisticRegression);
-  model->Fit(extractor.Compute(set).SelectRows(training.row_indices),
-             training.labels);
+  const auto model = FitModel(prep, set);
 
   obs::PhaseTimings range_busy;
   ScoredCandidates kept;
-  ScoreCandidateRange(*prep.index, offsets, 0, offsets.back(), set, *model,
-                      0.0, 4, nullptr, &kept, &range_busy);
-  obs::PhaseTimings score_busy;
-  const std::vector<double> scored =
-      extractor.Score(set, *model, 4, nullptr, &score_busy);
-  EXPECT_EQ(Bits(kept.probabilities), Bits(scored));  // tallies change nothing
+  ScoreCandidateRange(*prep.index, prep.pivot_offsets, 0,
+                      prep.num_candidates(), set, *model, 0.0, 4, nullptr,
+                      &kept, &range_busy);
+  obs::PhaseTimings resident_busy;
+  ScoredCandidates resident_kept;
+  ScoreCandidateRange(*prep.index, prep.pivot_offsets, 0,
+                      prep.num_candidates(), set, *model, 0.0, 4, nullptr,
+                      &resident_kept, &resident_busy, &prep.pairs);
+  // Tallies change nothing.
+  EXPECT_EQ(Bits(kept.probabilities), Bits(resident_kept.probabilities));
 
   for (obs::Phase phase :
        {obs::Phase::kPairs, obs::Phase::kFeatures, obs::Phase::kClassify}) {
     EXPECT_GT(range_busy.Get(phase), 0.0) << obs::PhaseName(phase);
   }
-  EXPECT_EQ(score_busy.Get(obs::Phase::kPairs), 0.0);
-  EXPECT_GT(score_busy.Get(obs::Phase::kFeatures), 0.0);
-  EXPECT_GT(score_busy.Get(obs::Phase::kClassify), 0.0);
+  EXPECT_EQ(resident_busy.Get(obs::Phase::kPairs), 0.0);
+  EXPECT_GT(resident_busy.Get(obs::Phase::kFeatures), 0.0);
+  EXPECT_GT(resident_busy.Get(obs::Phase::kClassify), 0.0);
   for (obs::Phase phase :
        {obs::Phase::kBlocking, obs::Phase::kTrain, obs::Phase::kPrune}) {
     EXPECT_EQ(range_busy.Get(phase), 0.0);
-    EXPECT_EQ(score_busy.Get(phase), 0.0);
+    EXPECT_EQ(resident_busy.Get(phase), 0.0);
   }
 }
 

@@ -1,4 +1,4 @@
-#include "core/cardinality_pruning.h"
+#include "core/pruning.h"
 
 #include <gtest/gtest.h>
 
@@ -20,41 +20,47 @@ PruningContext Ctx(size_t nodes, double cep_k, double cnp_k) {
 TEST(Cep, KeepsTopK) {
   std::vector<CandidatePair> pairs = {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}};
   std::vector<double> probs = {0.9, 0.8, 0.7, 0.6, 0.55};
-  auto retained = CepPruning().Prune(pairs, probs, Ctx(4, 3, 1));
+  auto retained = MakePruningAlgorithm(PruningKind::kCep)
+                      ->Prune(pairs, probs, Ctx(4, 3, 1));
   EXPECT_EQ(retained, (std::vector<uint32_t>{0, 1, 2}));
 }
 
 TEST(Cep, IgnoresInvalidEvenIfBudgetAllows) {
   std::vector<CandidatePair> pairs = {{0, 1}, {0, 2}, {1, 2}};
   std::vector<double> probs = {0.9, 0.3, 0.2};
-  auto retained = CepPruning().Prune(pairs, probs, Ctx(3, 3, 1));
+  auto retained = MakePruningAlgorithm(PruningKind::kCep)
+                      ->Prune(pairs, probs, Ctx(3, 3, 1));
   EXPECT_EQ(retained, (std::vector<uint32_t>{0}));
 }
 
 TEST(Cep, BudgetLargerThanValidKeepsAllValid) {
   std::vector<CandidatePair> pairs = {{0, 1}, {0, 2}};
   std::vector<double> probs = {0.7, 0.6};
-  auto retained = CepPruning().Prune(pairs, probs, Ctx(3, 100, 1));
+  auto retained = MakePruningAlgorithm(PruningKind::kCep)
+                      ->Prune(pairs, probs, Ctx(3, 100, 1));
   EXPECT_EQ(retained.size(), 2u);
 }
 
 TEST(Cep, ZeroBudgetKeepsNothing) {
   std::vector<CandidatePair> pairs = {{0, 1}};
   std::vector<double> probs = {0.9};
-  EXPECT_TRUE(CepPruning().Prune(pairs, probs, Ctx(2, 0, 1)).empty());
+  EXPECT_TRUE(MakePruningAlgorithm(PruningKind::kCep)
+                  ->Prune(pairs, probs, Ctx(2, 0, 1)).empty());
 }
 
 TEST(Cep, TieBreaksPreferEarlierPairs) {
   std::vector<CandidatePair> pairs = {{0, 1}, {0, 2}, {1, 2}};
   std::vector<double> probs = {0.7, 0.7, 0.7};
-  auto retained = CepPruning().Prune(pairs, probs, Ctx(3, 2, 1));
+  auto retained = MakePruningAlgorithm(PruningKind::kCep)
+                      ->Prune(pairs, probs, Ctx(3, 2, 1));
   EXPECT_EQ(retained, (std::vector<uint32_t>{0, 1}));
 }
 
 TEST(Cep, FractionalBudgetFloors) {
   std::vector<CandidatePair> pairs = {{0, 1}, {0, 2}};
   std::vector<double> probs = {0.9, 0.8};
-  auto retained = CepPruning().Prune(pairs, probs, Ctx(3, 1.9, 1));
+  auto retained = MakePruningAlgorithm(PruningKind::kCep)
+                      ->Prune(pairs, probs, Ctx(3, 1.9, 1));
   EXPECT_EQ(retained.size(), 1u);
 }
 
@@ -63,7 +69,8 @@ TEST(Cnp, PerNodeQueuesUnionSemantics) {
   // is best for either endpoint.
   std::vector<CandidatePair> pairs = {{0, 1}, {0, 2}, {1, 2}};
   std::vector<double> probs = {0.9, 0.6, 0.7};
-  auto retained = CnpPruning().Prune(pairs, probs, Ctx(3, 10, 1));
+  auto retained = MakePruningAlgorithm(PruningKind::kCnp)
+                      ->Prune(pairs, probs, Ctx(3, 10, 1));
   // Node 0 best: (0,1). Node 1 best: (0,1). Node 2 best: (1,2).
   // (0,2) is best for nobody -> dropped.
   EXPECT_EQ(retained, (std::vector<uint32_t>{0, 2}));
@@ -72,15 +79,18 @@ TEST(Cnp, PerNodeQueuesUnionSemantics) {
 TEST(Rcnp, IntersectionSemantics) {
   std::vector<CandidatePair> pairs = {{0, 1}, {0, 2}, {1, 2}};
   std::vector<double> probs = {0.9, 0.6, 0.7};
-  auto retained = RcnpPruning().Prune(pairs, probs, Ctx(3, 10, 1));
+  auto retained = MakePruningAlgorithm(PruningKind::kRcnp)
+                      ->Prune(pairs, probs, Ctx(3, 10, 1));
   // (0,1) is in both endpoint queues; (1,2) only in node 2's queue.
   EXPECT_EQ(retained, (std::vector<uint32_t>{0}));
 }
 
 TEST(Rcnp, SubsetOfCnp) {
   testing::PruningFixture f = testing::RandomPruningGraph(50, 0.25, 31);
-  auto cnp = CnpPruning().Prune(f.pairs, f.probs, f.context);
-  auto rcnp = RcnpPruning().Prune(f.pairs, f.probs, f.context);
+  auto cnp = MakePruningAlgorithm(PruningKind::kCnp)
+                 ->Prune(f.pairs, f.probs, f.context);
+  auto rcnp = MakePruningAlgorithm(PruningKind::kRcnp)
+                  ->Prune(f.pairs, f.probs, f.context);
   EXPECT_LE(rcnp.size(), cnp.size());
   size_t j = 0;
   for (uint32_t idx : rcnp) {
@@ -93,7 +103,8 @@ TEST(Rcnp, SubsetOfCnp) {
 TEST(Cnp, RespectsPerNodeBudget) {
   testing::PruningFixture f = testing::RandomPruningGraph(30, 0.5, 17);
   f.context.cnp_k = 2.0;
-  auto retained = CnpPruning().Prune(f.pairs, f.probs, f.context);
+  auto retained = MakePruningAlgorithm(PruningKind::kCnp)
+                      ->Prune(f.pairs, f.probs, f.context);
   // No node may appear in more than ... well, union semantics allow more
   // via the partner's queue; but each pair retained must be top-2 for at
   // least one endpoint. Verify by recomputing top-2 sets.
@@ -137,7 +148,8 @@ TEST(Cnp, CleanCleanRightOffsetAddressesDistinctNodes) {
   ctx.right_offset = 2;  // |E1| = 2
   std::vector<CandidatePair> pairs = {{0, 0}, {1, 0}, {0, 1}};
   std::vector<double> probs = {0.9, 0.8, 0.7};
-  auto retained = CnpPruning().Prune(pairs, probs, ctx);
+  auto retained =
+      MakePruningAlgorithm(PruningKind::kCnp)->Prune(pairs, probs, ctx);
   // Queues: L0 best (0,0)=0.9; L1 best (1,0)=0.8; R0 best 0.9; R1 best 0.7.
   EXPECT_EQ(retained, (std::vector<uint32_t>{0, 1, 2}));
 }

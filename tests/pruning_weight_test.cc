@@ -1,4 +1,4 @@
-#include "core/weight_pruning.h"
+#include "core/pruning.h"
 
 #include <gtest/gtest.h>
 
@@ -34,7 +34,8 @@ struct Fig4 {
 
 TEST(BCl, KeepsAllValidPairs) {
   Fig4 g;
-  auto retained = BClPruning().Prune(g.pairs, g.probs, Ctx(7));
+  auto retained =
+      MakePruningAlgorithm(PruningKind::kBCl)->Prune(g.pairs, g.probs, Ctx(7));
   // Valid = probability >= 0.5: indices 0, 1, 3, 5.
   EXPECT_EQ(retained, (std::vector<uint32_t>{0, 1, 3, 5}));
 }
@@ -42,25 +43,29 @@ TEST(BCl, KeepsAllValidPairs) {
 TEST(BCl, EmptyWhenNothingValid) {
   std::vector<CandidatePair> pairs = {{0, 1}};
   std::vector<double> probs = {0.49};
-  EXPECT_TRUE(BClPruning().Prune(pairs, probs, Ctx(2)).empty());
+  EXPECT_TRUE(MakePruningAlgorithm(PruningKind::kBCl)
+                  ->Prune(pairs, probs, Ctx(2)).empty());
 }
 
 TEST(Wep, GlobalAverageThreshold) {
   Fig4 g;
   // Valid probabilities: 0.55, 0.90, 0.55, 0.70; mean = 0.675.
-  auto retained = WepPruning().Prune(g.pairs, g.probs, Ctx(7));
+  auto retained =
+      MakePruningAlgorithm(PruningKind::kWep)->Prune(g.pairs, g.probs, Ctx(7));
   EXPECT_EQ(retained, (std::vector<uint32_t>{1, 5}));
 }
 
 TEST(Wep, AllEqualProbabilitiesKeepEverythingValid) {
   std::vector<CandidatePair> pairs = {{0, 1}, {1, 2}, {0, 2}};
   std::vector<double> probs = {0.7, 0.7, 0.7};
-  auto retained = WepPruning().Prune(pairs, probs, Ctx(3));
+  auto retained =
+      MakePruningAlgorithm(PruningKind::kWep)->Prune(pairs, probs, Ctx(3));
   EXPECT_EQ(retained.size(), 3u);
 }
 
 TEST(Wep, EmptyInput) {
-  EXPECT_TRUE(WepPruning().Prune({}, {}, Ctx(3)).empty());
+  EXPECT_TRUE(MakePruningAlgorithm(PruningKind::kWep)
+                  ->Prune({}, {}, Ctx(3)).empty());
 }
 
 TEST(Wnp, KeepsPairAboveEitherEndpointAverage) {
@@ -68,7 +73,8 @@ TEST(Wnp, KeepsPairAboveEitherEndpointAverage) {
   // node 2: {0.9, 0.5} -> 0.7; node 3: {0.5} -> 0.5.
   std::vector<CandidatePair> pairs = {{0, 1}, {0, 2}, {2, 3}};
   std::vector<double> probs = {0.6, 0.9, 0.5};
-  auto retained = WnpPruning().Prune(pairs, probs, Ctx(4));
+  auto retained =
+      MakePruningAlgorithm(PruningKind::kWnp)->Prune(pairs, probs, Ctx(4));
   // (0,1): 0.6 < 0.75 but = avg of node 1 -> kept.
   // (0,2): 0.9 >= both -> kept.
   // (2,3): 0.5 < 0.7 but = avg of node 3 -> kept.
@@ -78,15 +84,18 @@ TEST(Wnp, KeepsPairAboveEitherEndpointAverage) {
 TEST(Rwnp, RequiresBothEndpointAverages) {
   std::vector<CandidatePair> pairs = {{0, 1}, {0, 2}, {2, 3}};
   std::vector<double> probs = {0.6, 0.9, 0.5};
-  auto retained = RwnpPruning().Prune(pairs, probs, Ctx(4));
+  auto retained =
+      MakePruningAlgorithm(PruningKind::kRwnp)->Prune(pairs, probs, Ctx(4));
   // Only (0,2) clears both node averages.
   EXPECT_EQ(retained, (std::vector<uint32_t>{1}));
 }
 
 TEST(Rwnp, SubsetOfWnp) {
   testing::PruningFixture f = testing::RandomPruningGraph(40, 0.3, 11);
-  auto wnp = WnpPruning().Prune(f.pairs, f.probs, f.context);
-  auto rwnp = RwnpPruning().Prune(f.pairs, f.probs, f.context);
+  auto wnp = MakePruningAlgorithm(PruningKind::kWnp)
+                 ->Prune(f.pairs, f.probs, f.context);
+  auto rwnp = MakePruningAlgorithm(PruningKind::kRwnp)
+                  ->Prune(f.pairs, f.probs, f.context);
   EXPECT_LE(rwnp.size(), wnp.size());
   size_t j = 0;
   for (uint32_t idx : rwnp) {
@@ -103,7 +112,8 @@ TEST(Blast, Figure4Shape) {
   Fig4 g;
   PruningContext ctx = Ctx(7);
   ctx.blast_ratio = 0.5;
-  auto retained = BlastPruning().Prune(g.pairs, g.probs, ctx);
+  auto retained =
+      MakePruningAlgorithm(PruningKind::kBlast)->Prune(g.pairs, g.probs, ctx);
   // max: n0=0.55 n1=0.90 n2=0.55 n3=0.90 n4=0.55 n5=0.70 n6=0.70.
   // (0,2)=0.55 vs 0.5*(0.55+0.55)=0.55 -> kept.
   // (1,3)=0.90 vs 0.5*(0.90+0.90)=0.90 -> kept.
@@ -116,8 +126,10 @@ TEST(Blast, LowRatioKeepsAllValid) {
   Fig4 g;
   PruningContext ctx = Ctx(7);
   ctx.blast_ratio = 0.05;
-  auto retained = BlastPruning().Prune(g.pairs, g.probs, ctx);
-  auto bcl = BClPruning().Prune(g.pairs, g.probs, ctx);
+  auto retained =
+      MakePruningAlgorithm(PruningKind::kBlast)->Prune(g.pairs, g.probs, ctx);
+  auto bcl =
+      MakePruningAlgorithm(PruningKind::kBCl)->Prune(g.pairs, g.probs, ctx);
   EXPECT_EQ(retained, bcl);
 }
 
@@ -127,8 +139,10 @@ TEST(Blast, DefaultRatioIsGentlerThanHalf) {
   r35.blast_ratio = 0.35;
   PruningContext r50 = f.context;
   r50.blast_ratio = 0.50;
-  auto gentle = BlastPruning().Prune(f.pairs, f.probs, r35);
-  auto harsh = BlastPruning().Prune(f.pairs, f.probs, r50);
+  auto gentle =
+      MakePruningAlgorithm(PruningKind::kBlast)->Prune(f.pairs, f.probs, r35);
+  auto harsh =
+      MakePruningAlgorithm(PruningKind::kBlast)->Prune(f.pairs, f.probs, r50);
   EXPECT_GE(gentle.size(), harsh.size());
 }
 

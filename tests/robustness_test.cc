@@ -6,7 +6,6 @@
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
 #include "core/pipeline.h"
-#include "core/weight_pruning.h"
 #include "test_support.h"
 
 namespace gsmb {
@@ -55,17 +54,18 @@ TEST(Robustness, SingleCandidatePair) {
 
 TEST(Robustness, BlastRatioExtremes) {
   testing::PruningFixture f = testing::RandomPruningGraph(30, 0.4, 3);
-  BlastPruning blast;
+  const auto blast = MakePruningAlgorithm(PruningKind::kBlast);
   PruningContext zero = f.context;
   zero.blast_ratio = 0.0;
   PruningContext one = f.context;
   one.blast_ratio = 1.0;
-  auto all_valid = BClPruning().Prune(f.pairs, f.probs, f.context);
+  auto all_valid = MakePruningAlgorithm(PruningKind::kBCl)
+                       ->Prune(f.pairs, f.probs, f.context);
   // r = 0: every valid pair clears the threshold.
-  EXPECT_EQ(blast.Prune(f.pairs, f.probs, zero), all_valid);
+  EXPECT_EQ(blast->Prune(f.pairs, f.probs, zero), all_valid);
   // r = 1: only pairs matching the max of both endpoints survive; strictly
   // fewer (or equal in degenerate graphs).
-  EXPECT_LE(blast.Prune(f.pairs, f.probs, one).size(), all_valid.size());
+  EXPECT_LE(blast->Prune(f.pairs, f.probs, one).size(), all_valid.size());
 }
 
 TEST(Robustness, ValidityThresholdAboveAllProbabilities) {

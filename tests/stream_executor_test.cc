@@ -47,7 +47,7 @@ MetaBlockingConfig BaseConfig(PruningKind kind) {
 }
 
 void ExpectIdentical(const MetaBlockingResult& batch,
-                     const StreamingResult& stream, PruningKind kind,
+                     const MetaBlockingResult& stream, PruningKind kind,
                      size_t shards, size_t threads) {
   SCOPED_TRACE(std::string(PruningKindName(kind)) + " shards=" +
                std::to_string(shards) + " threads=" +
@@ -74,7 +74,7 @@ void RunEquivalenceSweep(const PreparedDataset& prep) {
         options.num_shards = shards;
         MetaBlockingConfig stream_config = config;
         stream_config.execution.num_threads = threads;
-        const StreamingResult stream =
+        const MetaBlockingResult stream =
             StreamingExecutor(twin, options).Run(stream_config);
         ExpectIdentical(batch, stream, kind, shards, threads);
       }
@@ -96,21 +96,24 @@ TEST(StreamExecutorTest, PreparationMatchesBatchGeometry) {
     EXPECT_GE(i, twin.pivot_offsets[pivot]);
     EXPECT_LT(i, twin.pivot_offsets[pivot + 1]);
   }
-  // positive_indices are exactly the ascending candidate indices the batch
-  // path labels positive.
+  // positive_indices are exactly the ascending candidate indices whose
+  // materialised pair is a ground-truth match, and is_positive marks them.
   std::vector<uint64_t> expected;
-  for (size_t i = 0; i < prep.is_positive.size(); ++i) {
-    if (prep.is_positive[i]) expected.push_back(i);
+  for (size_t i = 0; i < prep.pairs.size(); ++i) {
+    const bool match =
+        prep.ground_truth.IsMatch(prep.pairs[i].left, prep.pairs[i].right);
+    if (match) expected.push_back(i);
+    EXPECT_EQ(prep.is_positive[i], match ? 1 : 0);
   }
   EXPECT_EQ(expected, twin.positive_indices);
-  EXPECT_EQ(prep.blocking_quality.num_candidates,
-            twin.blocking_quality.num_candidates);
-  EXPECT_EQ(prep.blocking_quality.duplicates_covered,
+  const BlockingQuality quality =
+      EvaluateBlockingQuality(prep.pairs, prep.ground_truth);
+  EXPECT_EQ(quality.num_candidates, twin.blocking_quality.num_candidates);
+  EXPECT_EQ(quality.duplicates_covered,
             twin.blocking_quality.duplicates_covered);
-  EXPECT_EQ(prep.blocking_quality.recall, twin.blocking_quality.recall);
-  EXPECT_EQ(prep.blocking_quality.precision,
-            twin.blocking_quality.precision);
-  EXPECT_EQ(prep.blocking_quality.f1, twin.blocking_quality.f1);
+  EXPECT_EQ(quality.recall, twin.blocking_quality.recall);
+  EXPECT_EQ(quality.precision, twin.blocking_quality.precision);
+  EXPECT_EQ(quality.f1, twin.blocking_quality.f1);
 }
 
 TEST(StreamExecutorTest, AllKindsMatchBatchCleanClean) {
@@ -133,7 +136,7 @@ TEST(StreamExecutorTest, LcpFeaturesMatchBatch) {
   options.num_shards = 5;
   MetaBlockingConfig stream_config = config;
   stream_config.execution.num_threads = 4;
-  const StreamingResult stream =
+  const MetaBlockingResult stream =
       StreamingExecutor(twin, options).Run(stream_config);
   ExpectIdentical(batch, stream, config.pruning, 5, 4);
 }
@@ -160,7 +163,7 @@ TEST(StreamExecutorTest, ManyShardDirtyDatasetMatchesBatch) {
     for (size_t shards : {size_t{3}, size_t{32}}) {
       StreamingOptions options;
       options.num_shards = shards;
-      const StreamingResult stream =
+      const MetaBlockingResult stream =
           StreamingExecutor(twin, options).Run(config);
       EXPECT_GT(stream.num_shards_used, 1u);
       ExpectIdentical(batch, stream, kind, shards, 4);
@@ -178,7 +181,7 @@ TEST(StreamExecutorTest, MemoryBudgetDerivesShardCountAndBoundsArena) {
   options.num_shards = 1;
   options.memory_budget_mb = 1;  // ~1 MiB arena => multiple shards
   const StreamingExecutor executor(twin, options);
-  const StreamingResult stream = executor.Run(config);
+  const MetaBlockingResult stream = executor.Run(config);
 
   EXPECT_GT(stream.num_shards_used, 1u);
   // One candidate costs ~sizeof(pair) + feature row + probability; the
@@ -194,19 +197,22 @@ TEST(StreamExecutorTest, MemoryBudgetDerivesShardCountAndBoundsArena) {
 // Every kind at several shards: the cardinality kinds emit from their heap
 // entries and the weight-based kinds from sweep 1's survivors, so each
 // emitted pair and probability must equal the batch path's at that index.
+// Keeping every probability fills each shard at floor 0 instead; the run
+// then returns them all in candidate order and retains the same pairs.
 TEST(StreamExecutorTest, SinkReceivesRetainedAscendingWithPairs) {
   const PreparedDataset& prep = MediumDataset();
   const StreamingDataset twin = StreamingTwin(prep);
   for (PruningKind kind : AllPruningKinds()) {
     SCOPED_TRACE(PruningKindName(kind));
-    MetaBlockingConfig config = BaseConfig(kind);
-    config.keep_probabilities = true;
-    const MetaBlockingResult batch = RunMetaBlocking(prep, config);
+    const MetaBlockingConfig config = BaseConfig(kind);
+    MetaBlockingConfig keep_all = config;
+    keep_all.keep_probabilities = true;
+    const MetaBlockingResult batch = RunMetaBlocking(prep, keep_all);
     ASSERT_EQ(batch.probabilities.size(), prep.pairs.size());
     StreamingOptions options;
     options.num_shards = 4;
     std::vector<uint32_t> seen;
-    StreamingResult stream = StreamingExecutor(twin, options).Run(
+    MetaBlockingResult stream = StreamingExecutor(twin, options).Run(
         config, [&](uint32_t index, const CandidatePair& pair,
                     double probability) {
           if (!seen.empty()) {
@@ -220,6 +226,11 @@ TEST(StreamExecutorTest, SinkReceivesRetainedAscendingWithPairs) {
     EXPECT_EQ(seen.size(), stream.metrics.retained);
     EXPECT_EQ(seen, stream.retained_indices);
     EXPECT_EQ(batch.retained_indices, stream.retained_indices);
+
+    const MetaBlockingResult kept =
+        StreamingExecutor(twin, options).Run(keep_all);
+    EXPECT_EQ(batch.probabilities, kept.probabilities);
+    EXPECT_EQ(batch.retained_indices, kept.retained_indices);
   }
 }
 
@@ -231,7 +242,7 @@ TEST(StreamExecutorTest, SweepCountsPerAlgorithmFamily) {
   StreamingOptions options;
   options.num_shards = 4;
   for (PruningKind kind : AllPruningKinds()) {
-    const StreamingResult stream =
+    const MetaBlockingResult stream =
         StreamingExecutor(twin, options).Run(BaseConfig(kind));
     EXPECT_EQ(stream.num_shards_used, 4u);
     EXPECT_EQ(stream.sweeps, 1u) << PruningKindName(kind);
@@ -248,7 +259,7 @@ TEST(StreamExecutorTest, OneShardFillsTheArenaOnce) {
   for (PruningKind kind : {PruningKind::kBlast, PruningKind::kWep,
                            PruningKind::kWnp, PruningKind::kRwnp}) {
     const MetaBlockingConfig config = BaseConfig(kind);
-    const StreamingResult stream =
+    const MetaBlockingResult stream =
         StreamingExecutor(twin, options).Run(config);
     EXPECT_EQ(stream.num_shards_used, 1u);
     EXPECT_EQ(stream.sweeps, 1u) << PruningKindName(kind);
@@ -266,7 +277,8 @@ TEST(StreamExecutorTest, FusedFillReportsEveryPhaseWithinWallTime) {
   MetaBlockingConfig config = BaseConfig(PruningKind::kBlast);
   config.execution.num_threads = 2;
   Stopwatch watch;
-  const StreamingResult stream = StreamingExecutor(twin, options).Run(config);
+  const MetaBlockingResult stream =
+      StreamingExecutor(twin, options).Run(config);
   const double wall = watch.ElapsedSeconds();
   ASSERT_EQ(stream.num_shards_used, 4u);
   EXPECT_GT(stream.phases.Get(obs::Phase::kPairs), 0.0);
@@ -297,7 +309,7 @@ std::vector<std::pair<size_t, size_t>> ShardRanges(size_t n, size_t shards) {
 std::map<std::string, double> Gauges(const StreamingDataset& twin,
                                      size_t shards,
                                      const MetaBlockingConfig& config,
-                                     StreamingResult* result) {
+                                     MetaBlockingResult* result) {
   StreamingOptions options;
   options.num_shards = shards;
   obs::TelemetrySink sink;
@@ -325,7 +337,7 @@ TEST(StreamExecutorTest, ArenaGaugeReportsTheBytesItHolds) {
                       [](double p) { return p >= 0.5; }));
   };
 
-  StreamingResult stream;
+  MetaBlockingResult stream;
   const MetaBlockingConfig config = BaseConfig(PruningKind::kBlast);
   const size_t kept = above_floor(0, probabilities.size());
   ASSERT_GT(kept, 0u);
@@ -399,7 +411,7 @@ TEST(StreamExecutorTest, SurvivorsFitOneArenaOrFallBackToASecondFill) {
         SCOPED_TRACE("floor=" + std::to_string(floor));
         MetaBlockingConfig stream_config = config;
         stream_config.execution.num_threads = threads;
-        StreamingResult stream;
+        MetaBlockingResult stream;
         const std::map<std::string, double> gauges =
             Gauges(twin, options.num_shards, stream_config, &stream);
         ASSERT_EQ(gauges.count("arena.bytes.peak"), 1u);
@@ -436,7 +448,7 @@ TEST(StreamExecutorTest, EveryFloorShardCountAndKindMatchesBatch) {
             options.num_shards = shards;
             MetaBlockingConfig stream_config = config;
             stream_config.execution.num_threads = threads;
-            const StreamingResult stream =
+            const MetaBlockingResult stream =
                 StreamingExecutor(twin, options).Run(stream_config);
             ExpectIdentical(batch, stream, kind, shards, threads);
           }

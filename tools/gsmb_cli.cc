@@ -816,20 +816,23 @@ int SweepMain(int argc, char** argv, int begin) {
     std::printf("wrote metrics to %s\n", telemetry.metrics_path.c_str());
   }
 
-  // One preparation per distinct dataset+blocking; the scheme axis is the
-  // only axis that multiplies this count.
-  const size_t preparations =
-      std::max<size_t>(1, sweep->axes.schemes.empty()
-                              ? 1
-                              : sweep->axes.schemes.size());
+  // Preparations this sweep built are its prepare-cache misses. A sweep
+  // over adopted or cached preparations builds none, and their handles'
+  // cost is not this run's preparation time.
+  const size_t preparations = result->cache_misses;
+  const std::string prepare_time =
+      preparations == 0
+          ? std::string()
+          : " in " + TablePrinter::Fixed(result->prepare_seconds * 1e3, 1) +
+                " ms";
   std::printf(
-      "prepared blocking %zu time%s in %.1f ms (cache: %zu miss%s, "
-      "%zu hit%s); %zu variant%s in %.1f ms\n",
-      preparations, preparations == 1 ? "" : "s",
-      result->prepare_seconds * 1e3, result->cache_misses,
-      result->cache_misses == 1 ? "" : "es", result->cache_hits,
-      result->cache_hits == 1 ? "" : "s", result->variants.size(),
-      result->variants.size() == 1 ? "" : "s", result->total_seconds * 1e3);
+      "prepared blocking %zu time%s%s (cache: %zu miss%s, %zu hit%s); "
+      "%zu variant%s in %.1f ms\n",
+      preparations, preparations == 1 ? "" : "s", prepare_time.c_str(),
+      result->cache_misses, result->cache_misses == 1 ? "" : "es",
+      result->cache_hits, result->cache_hits == 1 ? "" : "s",
+      result->variants.size(), result->variants.size() == 1 ? "" : "s",
+      result->total_seconds * 1e3);
 
   TablePrinter table({"variant", "backend", "retained", "recall", "precision",
                       "F1", "RT ms"});
