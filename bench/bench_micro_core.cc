@@ -315,25 +315,33 @@ void BM_FeaturesParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_FeaturesParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-/// A logistic regression fitted on ~50 BlastOptimal rows of Prepared().
-const LogisticRegression& BlastModel() {
-  static const LogisticRegression* model = [] {
-    const PreparedDataset& prep = Prepared();
-    Matrix features = FeatureExtractor(*prep.index, prep.pairs)
-                          .Compute(FeatureSet::BlastOptimal());
-    Rng rng(2);
-    std::vector<size_t> rows;
-    std::vector<int> labels;
-    for (size_t i = 0; i < prep.pairs.size() && labels.size() < 50; ++i) {
-      if (prep.is_positive[i] || rng.NextBool(0.001)) {
-        rows.push_back(i);
-        labels.push_back(prep.is_positive[i]);
-      }
+/// A logistic regression fitted on ~50 rows of `set` of Prepared().
+LogisticRegression* FitDblpModel(const FeatureSet& set) {
+  const PreparedDataset& prep = Prepared();
+  Matrix features = FeatureExtractor(*prep.index, prep.pairs).Compute(set);
+  Rng rng(2);
+  std::vector<size_t> rows;
+  std::vector<int> labels;
+  for (size_t i = 0; i < prep.pairs.size() && labels.size() < 50; ++i) {
+    if (prep.is_positive[i] || rng.NextBool(0.001)) {
+      rows.push_back(i);
+      labels.push_back(prep.is_positive[i]);
     }
-    auto* fitted = new LogisticRegression();
-    fitted->Fit(features.SelectRows(rows), labels);
-    return fitted;
-  }();
+  }
+  auto* fitted = new LogisticRegression();
+  fitted->Fit(features.SelectRows(rows), labels);
+  return fitted;
+}
+
+const LogisticRegression& BlastModel() {
+  static const LogisticRegression* model =
+      FitDblpModel(FeatureSet::BlastOptimal());
+  return *model;
+}
+
+const LogisticRegression& RcnpModel() {
+  static const LogisticRegression* model =
+      FitDblpModel(FeatureSet::RcnpOptimal());
   return *model;
 }
 
@@ -354,40 +362,50 @@ BENCHMARK(BM_ClassifierInferenceParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // The executor's shard fill over the whole candidate order: pairs,
 // features and classification in one pass, split across threads by
-// candidate count. Args: {case, threads}. Case 0 is DblpAcm x0.25 at floor
-// 0 (every row kept), its pairs regenerated from the blocks: compare it
-// against BM_CandidateGeneration + case 3 at the same thread count. Cases 1
-// and 2 are Dirty ER D10K x1.2 at floor 0 and at the paper's validity floor
-// 0.5, where only the ~1% of rows that clear it are kept. Case 3 is case 0
+// candidate count. Its FeatureTerms are built once, outside the timed loop,
+// as the executor builds them once per run. Args: {case, threads}. Case 0
+// is DblpAcm x0.25 at floor 0 (every row kept), its pairs regenerated from
+// the blocks: compare it against BM_CandidateGeneration + case 3 at the
+// same thread count. Cases 1 and 2 are Dirty ER D10K x1.2 at floor 0 and at
+// the paper's validity floor 0.5, where only the ~1% of rows that clear it
+// are kept and the prefix filter evaluates ~4% of them. Case 3 is case 0
 // reading the resident pair list instead, as batch does: compare it against
 // BM_FeaturesParallel + BM_ClassifierInferenceParallel at the same thread
-// count.
+// count. Cases 4 and 5 are sweep-clean's shape at the validity floor 0.5:
+// DblpAcm x0.25 over the resident list with BlastOptimal and RcnpOptimal,
+// whose looser bounds find ~40% of the candidates.
 void BM_ScoreCandidateRange(benchmark::State& state) {
   const auto threads = static_cast<size_t>(state.range(1));
-  const bool dirty = state.range(0) == 1 || state.range(0) == 2;
-  const double floor = state.range(0) == 2 ? 0.5 : 0.0;
+  const int64_t kase = state.range(0);
+  const bool dirty = kase == 1 || kase == 2;
+  const double floor = kase == 2 || kase >= 4 ? 0.5 : 0.0;
   const std::vector<CandidatePair>* resident =
-      state.range(0) == 3 ? &Prepared().pairs : nullptr;
+      kase >= 3 ? &Prepared().pairs : nullptr;
+  const FeatureSet set =
+      kase == 5 ? FeatureSet::RcnpOptimal() : FeatureSet::BlastOptimal();
   const StreamingDataset& prep =
       dirty ? DirtyStream() : static_cast<const StreamingDataset&>(Prepared());
   const ProbabilisticClassifier& model =
-      dirty ? DirtyModel()
-            : static_cast<const ProbabilisticClassifier&>(BlastModel());
+      dirty       ? DirtyModel()
+      : kase == 5 ? static_cast<const ProbabilisticClassifier&>(RcnpModel())
+                  : static_cast<const ProbabilisticClassifier&>(BlastModel());
+  const FeatureTerms terms(*prep.index, set, threads,
+                           /*block_bounds=*/floor > 0.0);
   ScoredCandidates kept;
   for (auto _ : state) {
     ScoreCandidateRange(*prep.index, prep.pivot_offsets, 0,
-                        prep.num_candidates(), FeatureSet::BlastOptimal(),
-                        model, floor, threads, nullptr, &kept, nullptr,
-                        resident);
+                        prep.num_candidates(), set, model, floor, threads,
+                        &terms, &kept, nullptr, resident);
     benchmark::DoNotOptimize(kept.pairs.data());
     benchmark::DoNotOptimize(kept.probabilities.data());
     benchmark::ClobberMemory();
   }
   const char* labels[] = {"DblpAcm x0.25 floor 0", "D10K x1.2 floor 0",
                           "D10K x1.2 floor 0.5",
-                          "DblpAcm x0.25 floor 0 resident"};
-  state.SetLabel(std::string(labels[state.range(0)]) + "/t" +
-                 std::to_string(threads));
+                          "DblpAcm x0.25 floor 0 resident",
+                          "DblpAcm x0.25 floor 0.5 resident BlastOptimal",
+                          "DblpAcm x0.25 floor 0.5 resident RcnpOptimal"};
+  state.SetLabel(std::string(labels[kase]) + "/t" + std::to_string(threads));
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * prep.num_candidates()));
 }
@@ -404,6 +422,10 @@ BENCHMARK(BM_ScoreCandidateRange)
     ->Args({3, 2})
     ->Args({3, 4})
     ->Args({3, 8})
+    ->Args({4, 1})
+    ->Args({4, 4})
+    ->Args({5, 1})
+    ->Args({5, 4})
     ->Unit(benchmark::kMillisecond);
 
 // The classifiers' tile scorer over every BlastOptimal row of DblpAcm

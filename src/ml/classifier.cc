@@ -1,5 +1,6 @@
 #include "ml/classifier.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -26,6 +27,13 @@ void ProbabilisticClassifier::PredictTile(const double* rows, size_t count,
                                           size_t dims, double /*floor*/,
                                           double* out) const {
   for (size_t r = 0; r < count; ++r) out[r] = PredictProbability(rows + r * dims);
+}
+
+void ProbabilisticClassifier::MayReachFloor(const double* /*lo*/,
+                                            const double* /*hi*/, size_t count,
+                                            size_t /*dims*/, double /*floor*/,
+                                            bool* out) const {
+  std::fill_n(out, count, true);
 }
 
 double LogisticFloorCut(double floor) {

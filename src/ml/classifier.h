@@ -51,6 +51,19 @@ class ProbabilisticClassifier {
   virtual void PredictTile(const double* rows, size_t count, size_t dims,
                            double floor, double* out) const;
 
+  /// Whether each of `count` boxes of raw rows may hold a row that reaches
+  /// `floor`. Box b spans [lo[b * dims + c], hi[b * dims + c]] in column c,
+  /// and out[b] is false only when every row inside it has a
+  /// PredictProbability below `floor`, so PredictTile keeps none of them.
+  /// The scorers skip the rows a false box holds without evaluating them.
+  /// The default answers true for every box. The linear models evaluate
+  /// their decision value at the box's extreme corner with PredictTile's
+  /// operations in PredictTile's order, and answer false when PredictTile
+  /// would cut that value (LogisticFloorCut). Round-to-nearest is
+  /// monotone, so that value bounds every row's in the box with no margin.
+  virtual void MayReachFloor(const double* lo, const double* hi, size_t count,
+                             size_t dims, double floor, bool* out) const;
+
   /// P(match) for every row of `x`. Rows are independent, so
   /// `num_threads` > 1 parallelises with bit-identical results.
   std::vector<double> PredictBatch(const Matrix& x,

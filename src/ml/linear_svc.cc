@@ -134,6 +134,22 @@ void LinearSvc::PredictTile(const double* rows, size_t count, size_t dims,
       out);
 }
 
+void LinearSvc::MayReachFloor(const double* lo, const double* hi, size_t count,
+                              size_t dims, double floor, bool* out) const {
+  assert(scaler_.fitted());
+  // PredictTile cuts -(a f + b) < cut, which rises with f when a <= 0 and
+  // falls otherwise: the corner that bounds it is f's highest or lowest.
+  const double cut = LogisticFloorCut(floor);
+  const double a = platt_.a();
+  const double b = platt_.b();
+  for (size_t box = 0; box < count; ++box) {
+    const double f =
+        LinearCornerDecision(lo + box * dims, hi + box * dims, intercept_,
+                             weights_, scaler_, /*maximise=*/a <= 0.0);
+    out[box] = !(-(a * f + b) < cut);
+  }
+}
+
 std::vector<double> LinearSvc::CoefficientsWithIntercept() const {
   std::vector<double> out(weights_.size() + 1, 0.0);
   double b = intercept_;

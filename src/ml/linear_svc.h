@@ -37,6 +37,8 @@ class LinearSvc : public ProbabilisticClassifier {
   double PredictProbability(const double* row) const override;
   void PredictTile(const double* rows, size_t count, size_t dims, double floor,
                    double* out) const override;
+  void MayReachFloor(const double* lo, const double* hi, size_t count,
+                     size_t dims, double floor, bool* out) const override;
   std::vector<double> CoefficientsWithIntercept() const override;
   std::string Name() const override { return "LinearSVC"; }
 

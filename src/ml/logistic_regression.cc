@@ -111,6 +111,19 @@ void LogisticRegression::PredictTile(const double* rows, size_t count,
       [cut](double z) { return z < cut ? 0.0 : Sigmoid(z); }, out);
 }
 
+void LogisticRegression::MayReachFloor(const double* lo, const double* hi,
+                                       size_t count, size_t dims, double floor,
+                                       bool* out) const {
+  assert(scaler_.fitted());
+  // PredictTile cuts z < cut, and no row's z exceeds the highest corner's.
+  const double cut = LogisticFloorCut(floor);
+  for (size_t b = 0; b < count; ++b) {
+    out[b] = !(LinearCornerDecision(lo + b * dims, hi + b * dims, intercept_,
+                                    weights_, scaler_, /*maximise=*/true) <
+               cut);
+  }
+}
+
 std::vector<double> LogisticRegression::CoefficientsWithIntercept() const {
   // Fold the standardisation into the coefficients so they apply to raw
   // features: w'_c = w_c / std_c, b' = b - sum(w_c * mean_c / std_c).

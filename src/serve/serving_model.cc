@@ -38,7 +38,7 @@ ServingModel TrainServingModelFromPrepared(const StreamingDataset& prepared,
   config.seed = options.seed;
   config.execution = options.execution;
   const TrainedClassifier trained =
-      TrainClassifier(prepared, config, /*lcp=*/nullptr, phases);
+      TrainClassifier(prepared, config, /*terms=*/nullptr, phases);
   if (training_size != nullptr) *training_size = trained.training_size;
   const std::vector<double> coefficients =
       trained.model->CoefficientsWithIntercept();

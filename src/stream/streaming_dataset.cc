@@ -155,7 +155,7 @@ StreamingDataset PrepareStreamingFromBlocks(const std::string& name,
 
 TrainedClassifier TrainClassifier(
     const StreamingDataset& dataset, const MetaBlockingConfig& config,
-    const std::vector<double>* lcp, obs::PhaseTimings* phases,
+    const FeatureTerms* terms, obs::PhaseTimings* phases,
     const std::vector<CandidatePair>* resident) {
   PairRegenerator regenerate(*dataset.index, dataset.pivot_offsets);
   return TrainClassifier(
@@ -167,7 +167,7 @@ TrainedClassifier TrainClassifier(
               return resident != nullptr ? (*resident)[row]
                                          : regenerate.At(row);
             },
-            config.execution.num_threads, lcp);
+            config.execution.num_threads, terms);
       },
       dataset.name, phases);
 }

@@ -45,13 +45,13 @@ StreamingDataset PrepareStreamingFromBlocks(const std::string& name,
 /// sampled candidates' pairs are read from `resident` (the materialised
 /// candidate order) when given, else regenerated pivot by pivot
 /// (PairRegenerator), and their rows extracted with SampledFeatureRows.
-/// `lcp` is the per-entity LCP when the caller already has it (nullptr
-/// computes it when the feature set needs it). The executor and the
-/// serving cold build both train through this, and every pair source
-/// yields the same model bit for bit.
+/// `terms` are config.features' FeatureTerms over the dataset's index when
+/// the caller already has them (nullptr builds them for the sample). The
+/// executor and the serving cold build both train through this, and every
+/// pair source yields the same model bit for bit.
 TrainedClassifier TrainClassifier(
     const StreamingDataset& dataset, const MetaBlockingConfig& config,
-    const std::vector<double>* lcp, obs::PhaseTimings* phases,
+    const FeatureTerms* terms, obs::PhaseTimings* phases,
     const std::vector<CandidatePair>* resident = nullptr);
 
 }  // namespace gsmb

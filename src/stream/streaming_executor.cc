@@ -15,6 +15,12 @@ namespace gsmb {
 
 namespace {
 
+/// The floor a shard fill keeps rows at: the validity threshold, or 0 when
+/// the job keeps every probability.
+double FillFloor(const MetaBlockingConfig& config) {
+  return config.keep_probabilities ? 0.0 : config.validity_threshold;
+}
+
 /// A weight-based kind's kept rows of every shard but the resident last
 /// one, each shard's rows ascending by global index. Every weight-based
 /// Keep() is false below the validity threshold, so emission applies the
@@ -106,7 +112,7 @@ std::vector<StreamingExecutor::ShardSlice> StreamingExecutor::PlanShards(
 void StreamingExecutor::FillArena(const ShardSlice& shard,
                                   const MetaBlockingConfig& config,
                                   const ProbabilisticClassifier& model,
-                                  const std::vector<double>* lcp,
+                                  const FeatureTerms& terms,
                                   ScoredCandidates* arena,
                                   obs::PhaseTimings* phases) const {
   // Pairs, features and classify interleave per pivot tile inside each
@@ -117,11 +123,10 @@ void StreamingExecutor::FillArena(const ShardSlice& shard,
     obs::FusedPhases fused(phases, resident_ != nullptr
                                        ? obs::Phase::kFeatures
                                        : obs::Phase::kPairs);
-    ScoreCandidateRange(
-        *dataset_.index, dataset_.pivot_offsets, shard.first_index,
-        shard.end_index, config.features, model,
-        config.keep_probabilities ? 0.0 : config.validity_threshold,
-        config.execution.num_threads, lcp, arena, fused.busy(), resident_);
+    ScoreCandidateRange(*dataset_.index, dataset_.pivot_offsets,
+                        shard.first_index, shard.end_index, config.features,
+                        model, FillFloor(config), config.execution.num_threads,
+                        &terms, arena, fused.busy(), resident_);
   }
   obs::GaugeMax("arena.bytes.peak", static_cast<double>(arena->Bytes()));
 }
@@ -147,20 +152,18 @@ MetaBlockingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
         result.max_shard_candidates, shard.end_index - shard.first_index);
   }
 
-  // ---- LCP once, reused by every per-shard extraction. ----
-  static const std::vector<CandidatePair> kNoPairs;
-  std::vector<double> lcp;
-  const std::vector<double>* lcp_ptr = nullptr;
-  if (config.features.Contains(Feature::kLcp)) {
+  // ---- The kernel's per-entity and per-block terms once (LCP, the
+  // logarithms, the block weights and, when the fill is filtered against a
+  // floor, the block ranges), read by the training rows and every fill. ----
+  const FeatureTerms terms = [&] {
     obs::ScopedPhase phase(&result.phases, obs::Phase::kFeatures);
-    lcp = FeatureExtractor(index, kNoPairs)
-              .ComputeLcpPerEntity(config.execution.num_threads);
-    lcp_ptr = &lcp;
-  }
+    return FeatureTerms(index, config.features, config.execution.num_threads,
+                        /*block_bounds=*/FillFloor(config) > 0.0);
+  }();
 
   // ---- Training: the balanced sample, its rows and fit. ----
   const TrainedClassifier trained =
-      TrainClassifier(dataset_, config, lcp_ptr, &result.phases, resident_);
+      TrainClassifier(dataset_, config, &terms, &result.phases, resident_);
   const ProbabilisticClassifier& model = *trained.model;
   result.training_size = trained.training_size;
   result.model_coefficients = model.CoefficientsWithIntercept();
@@ -232,7 +235,7 @@ MetaBlockingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   ++result.sweeps;
   for (size_t s = 0; s < shards.size(); ++s) {
     const ShardSlice& shard = shards[s];
-    FillArena(shard, config, model, lcp_ptr, &arena, &result.phases);
+    FillArena(shard, config, model, terms, &arena, &result.phases);
     if (config.keep_probabilities && shards.size() > 1) {
       result.probabilities.insert(result.probabilities.end(),
                                   arena.probabilities.begin(),
@@ -292,7 +295,7 @@ MetaBlockingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
     // The survivors overflowed: fill each shard again and apply Keep().
     ++result.sweeps;
     for (const ShardSlice& shard : shards) {
-      FillArena(shard, config, model, lcp_ptr, &arena, &result.phases);
+      FillArena(shard, config, model, terms, &arena, &result.phases);
       obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
       emit_kept(arena);
     }

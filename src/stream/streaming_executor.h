@@ -13,7 +13,9 @@
 //   fill the arena in one pass (ScoreCandidateRange, core/features.h:
 //   each pivot's blocks are swept once, yielding its feature sums, and its
 //   neighbours are read from the resident pairs or collected by the same
-//   sweep; each tile of rows is scored while it is in cache, the link
+//   sweep; above a threshold of 0 the trained model first bounds each
+//   pivot's rows, so only the neighbours that may clear it are summed and
+//   scored; each tile of rows is scored while it is in cache, the link
 //   evaluated only where it can clear the threshold)
 //   -> feed the shard's chunks of kept rows to the pruning aggregator
 //   -> fold -> next shard
@@ -54,7 +56,8 @@
 //     global EntityIndex, so per-shard scoring reproduces the rows and
 //     probabilities of the full matrix bit for bit (core/features.cc
 //     sweeps the pivot's blocks identically regardless of which rows are
-//     requested or where the neighbours come from, and a pivot cut by a
+//     requested or where the neighbours come from, adds a filtered row's
+//     terms in the same order as the full sweep, and a pivot cut by a
 //     shard boundary is swept by both);
 //   * training is TrainClassifier (core/pipeline.h): the same balanced
 //     sample over the same positive indices, its rows from the same
@@ -168,7 +171,7 @@ class StreamingExecutor {
   /// seconds to `phases`.
   void FillArena(const ShardSlice& shard, const MetaBlockingConfig& config,
                  const ProbabilisticClassifier& model,
-                 const std::vector<double>* lcp, ScoredCandidates* arena,
+                 const FeatureTerms& terms, ScoredCandidates* arena,
                  obs::PhaseTimings* phases) const;
 
   const StreamingDataset& dataset_;

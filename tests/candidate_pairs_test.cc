@@ -167,5 +167,41 @@ TEST(AscendingIdSet, MatchesSortAtEveryDensity) {
   }
 }
 
+// DrainRanked emits the marked ids ascending, each with the number of the
+// set's ids below it — a row's rank among its pivot's neighbours — and
+// empties both the set and the marks, across word, summary and top
+// boundaries and when reused.
+TEST(AscendingIdSet, DrainRankedRanksTheMarkedIds) {
+  Rng rng(5);
+  for (uint32_t universe : {64u, 4097u, 300000u}) {
+    AscendingIdSet set(universe);
+    std::vector<uint64_t> marked((universe + 63) / 64, 0);
+    for (size_t count : {size_t{1}, size_t{40}, size_t{2000}}) {
+      std::vector<uint32_t> ids;
+      for (size_t i = 0; i < count; ++i) {
+        ids.push_back(static_cast<uint32_t>(rng.NextUint64(universe)));
+      }
+      ids.push_back(universe - 1);
+      for (uint32_t id : ids) set.Insert(id);
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      std::vector<std::pair<uint32_t, size_t>> expected;
+      for (size_t rank = 0; rank < ids.size(); ++rank) {
+        if (rank % 3 == 0 || ids[rank] == universe - 1) {
+          marked[ids[rank] >> 6] |= uint64_t{1} << (ids[rank] & 63);
+          expected.push_back({ids[rank], rank});
+        }
+      }
+      std::vector<std::pair<uint32_t, size_t>> ranked;
+      set.DrainRanked(marked.data(), [&](uint32_t id, size_t rank) {
+        ranked.push_back({id, rank});
+      });
+      EXPECT_EQ(ranked, expected) << universe << " " << count;
+      EXPECT_TRUE(Drained(&set).empty());
+      EXPECT_EQ(std::count(marked.begin(), marked.end(), 0u), marked.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gsmb

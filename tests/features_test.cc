@@ -1,9 +1,12 @@
 #include "core/features.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <numeric>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -384,43 +387,144 @@ TEST(FeatureKernel, ScoreCandidateRangeEqualsSliceOfScore) {
   }
 }
 
+/// The rows of `full` at or above `floor`: their indices and probabilities.
+void RowsAtOrAbove(const std::vector<double>& full, double floor,
+                   std::vector<uint32_t>* indices,
+                   std::vector<double>* probabilities) {
+  indices->clear();
+  probabilities->clear();
+  for (size_t r = 0; r < full.size(); ++r) {
+    if (full[r] >= floor) {
+      indices->push_back(static_cast<uint32_t>(r));
+      probabilities->push_back(full[r]);
+    }
+  }
+}
+
 // At a floor, the fill keeps exactly the rows whose PredictBatch(Compute())
-// is at or above it, with those bits, for every classifier.
+// is at or above it, with those bits, for every classifier, reading the
+// resident pairs or collecting the neighbours. Above a floor of 0 the
+// linear models' prefix filter skips rows without evaluating them, so the
+// floors include the rows' own probabilities: P_r puts row r on the floor,
+// nextafter(P_r, 1) just above row r, and nextafter(P_r, 0) just below.
 TEST(FeatureKernel, ScoreAtAFloorKeepsEveryRowThatClearsIt) {
   for (const PreparedDataset* prep : {&gsmb::testing::MediumDataset(),
                                       &gsmb::testing::SmallDirtyDataset()}) {
     FeatureExtractor extractor(*prep->index, prep->pairs);
     const FeatureSet set = FeatureSet::BlastOptimal();
     const Matrix features = extractor.Compute(set, 1);
+    const FeatureTerms terms(*prep->index, set, 2, /*block_bounds=*/true);
     for (ClassifierKind kind :
          {ClassifierKind::kLogisticRegression, ClassifierKind::kLinearSvc,
           ClassifierKind::kGaussianNaiveBayes}) {
       const auto model = FitModel(*prep, set, kind);
       const std::vector<double> full = model->PredictBatch(features, 1);
-      for (double floor : {0.5, 0.9}) {
+      // Rows whose probabilities become floors: the weakest and strongest
+      // at or above 0.5, and a spread of the others in (0, 1).
+      std::vector<size_t> order(full.size());
+      std::iota(order.begin(), order.end(), size_t{0});
+      std::sort(order.begin(), order.end(),
+                [&](size_t a, size_t b) { return full[a] < full[b]; });
+      std::vector<double> floors = {0.5, 0.9};
+      const auto first_kept =
+          std::lower_bound(order.begin(), order.end(), 0.5,
+                           [&](size_t r, double p) { return full[r] < p; });
+      ASSERT_NE(first_kept, order.end());
+      for (size_t r : {*first_kept, order.back(), order[order.size() / 2],
+                       order[order.size() * 9 / 10],
+                       order[order.size() * 99 / 100]}) {
+        if (!(full[r] > 0.0 && full[r] < 1.0)) continue;
+        floors.push_back(full[r]);
+        floors.push_back(std::nextafter(full[r], 1.0));
+        floors.push_back(std::nextafter(full[r], 0.0));
+      }
+      for (double floor : floors) {
         std::vector<uint32_t> indices;
         std::vector<double> probabilities;
-        for (size_t r = 0; r < full.size(); ++r) {
-          if (full[r] >= floor) {
-            indices.push_back(static_cast<uint32_t>(r));
-            probabilities.push_back(full[r]);
-          }
+        RowsAtOrAbove(full, floor, &indices, &probabilities);
+        if (floor == 0.5 || floor == 0.9) {
+          EXPECT_GT(indices.size(), 0u);
+          EXPECT_LT(indices.size(), full.size());
         }
-        EXPECT_GT(indices.size(), 0u);
-        EXPECT_LT(indices.size(), full.size());
         for (size_t threads : {1, 4}) {
-          ScoredCandidates kept;
-          ScoreCandidateRange(*prep->index, prep->pivot_offsets, 0,
-                              prep->num_candidates(), set, *model, floor,
-                              threads, nullptr, &kept, nullptr, &prep->pairs);
-          EXPECT_EQ(kept.indices, indices);
-          EXPECT_EQ(Bits(kept.probabilities), Bits(probabilities))
-              << prep->name << " " << ClassifierKindName(kind) << " floor "
-              << floor << " " << threads << " threads";
+          for (const std::vector<CandidatePair>* resident :
+               {static_cast<const std::vector<CandidatePair>*>(nullptr),
+                &prep->pairs}) {
+            // Shared terms at one thread; the fill builds its own at four.
+            ScoredCandidates kept;
+            ScoreCandidateRange(*prep->index, prep->pivot_offsets, 0,
+                                prep->num_candidates(), set, *model, floor,
+                                threads, threads == 1 ? &terms : nullptr,
+                                &kept, nullptr, resident);
+            EXPECT_EQ(kept.indices, indices);
+            EXPECT_EQ(Bits(kept.probabilities), Bits(probabilities))
+                << prep->name << " " << ClassifierKindName(kind) << " floor "
+                << floor << " " << threads << " threads"
+                << (resident != nullptr ? ", resident pairs" : "");
+          }
         }
       }
     }
   }
+}
+
+/// The pairs.scored counter one fill adds: the rows it evaluated.
+uint64_t ScoredRows(const PreparedDataset& prep, const FeatureSet& set,
+                    const ProbabilisticClassifier& model, double floor,
+                    const std::vector<CandidatePair>* resident) {
+  obs::TelemetrySink sink;
+  obs::InstallSink(&sink);
+  ScoredCandidates kept;
+  ScoreCandidateRange(*prep.index, prep.pivot_offsets, 0,
+                      prep.num_candidates(), set, model, floor, 4, nullptr,
+                      &kept, nullptr, resident);
+  obs::InstallSink(nullptr);
+  const obs::MetricsSnapshot metrics = sink.SnapshotMetrics();
+  const auto it = metrics.counters.find("pairs.scored");
+  return it == metrics.counters.end() ? 0 : it->second;
+}
+
+// The prefix filter runs: at the paper's floor of 0.5 the linear models'
+// fill evaluates fewer rows than there are candidates, reading the
+// resident pairs or collecting them, on both ER modes. At floor 0, or with
+// Gaussian NB (no bound), it evaluates every candidate.
+TEST(FeatureKernel, FilteredFillEvaluatesFewerRowsThanCandidates) {
+  const FeatureSet set = FeatureSet::BlastOptimal();
+  for (const PreparedDataset* prep : {&gsmb::testing::MediumDataset(),
+                                      &gsmb::testing::SmallDirtyDataset()}) {
+    const uint64_t n = prep->num_candidates();
+    for (const std::vector<CandidatePair>* resident :
+         {static_cast<const std::vector<CandidatePair>*>(nullptr),
+          &prep->pairs}) {
+      SCOPED_TRACE(prep->name + (resident != nullptr ? " resident" : ""));
+      for (ClassifierKind kind :
+           {ClassifierKind::kLogisticRegression, ClassifierKind::kLinearSvc}) {
+        const auto model = FitModel(*prep, set, kind);
+        const uint64_t scored = ScoredRows(*prep, set, *model, 0.5, resident);
+        EXPECT_GT(scored, 0u) << ClassifierKindName(kind);
+        EXPECT_LT(scored, n) << ClassifierKindName(kind);
+        EXPECT_EQ(ScoredRows(*prep, set, *model, 0.0, resident), n);
+      }
+      const auto bayes =
+          FitModel(*prep, set, ClassifierKind::kGaussianNaiveBayes);
+      EXPECT_EQ(ScoredRows(*prep, set, *bayes, 0.5, resident), n);
+    }
+  }
+}
+
+// Terms are built for one feature set and index; the kernel refuses others.
+TEST(FeatureKernel, TermsOfAnotherFeatureSetAreRejected) {
+  const PreparedDataset& prep = gsmb::testing::SmallDirtyDataset();
+  const FeatureTerms terms(*prep.index, FeatureSet::BlastOptimal());
+  EXPECT_THROW(FeatureExtractor(*prep.index, prep.pairs)
+                   .Compute(FeatureSet::RcnpOptimal(), 1, &terms),
+               std::invalid_argument);
+  EXPECT_EQ(FeatureExtractor(*prep.index, prep.pairs)
+                .Compute(FeatureSet::BlastOptimal(), 2, &terms)
+                .data(),
+            FeatureExtractor(*prep.index, prep.pairs)
+                .Compute(FeatureSet::BlastOptimal(), 1)
+                .data());
 }
 
 // The busy tallies the fused-region attribution splits wall time by: the

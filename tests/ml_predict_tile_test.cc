@@ -164,6 +164,93 @@ TEST(PredictTile, NaiveBayesKeepsTheBitsAtOrAboveTheFloor) {
   ExpectTileContract(ClassifierKind::kGaussianNaiveBayes);
 }
 
+/// The corner of the box [lo, hi] that `mask` selects: column c from hi
+/// when bit c is set, from lo otherwise.
+std::vector<double> Corner(const double* lo, const double* hi, unsigned mask) {
+  std::vector<double> row(kDims);
+  for (size_t c = 0; c < kDims; ++c) row[c] = (mask >> c) & 1 ? hi[c] : lo[c];
+  return row;
+}
+
+// MayReachFloor answers false only when no row inside the box reaches the
+// floor. Random boxes, rows at every corner and random rows inside: any
+// row whose PredictProbability reaches the floor makes the box's answer
+// true. The floors include the boxes' own best corners, so a box whose
+// best row sits exactly on the floor is tested, and the one just above it.
+void ExpectSoundBound(ClassifierKind kind) {
+  const std::unique_ptr<ProbabilisticClassifier> model = Fitted(kind);
+  Rng rng(31);
+  constexpr size_t kBoxes = 400;
+  std::vector<double> lo(kBoxes * kDims);
+  std::vector<double> hi(kBoxes * kDims);
+  for (size_t b = 0; b < kBoxes; ++b) {
+    for (size_t c = 0; c < kDims; ++c) {
+      const double center = (c == 2 ? 3.0 : 1.0) * 2.0 * rng.NextGaussian();
+      const double half = rng.NextDouble() * (b % 4 == 0 ? 0.0 : 2.0);
+      lo[b * kDims + c] = center - half;
+      hi[b * kDims + c] = center + half;
+    }
+  }
+  // Each box's rows: its corners, then random points inside.
+  std::vector<std::vector<std::vector<double>>> rows(kBoxes);
+  std::vector<double> best(kBoxes, 0.0);
+  for (size_t b = 0; b < kBoxes; ++b) {
+    for (unsigned mask = 0; mask < (1u << kDims); ++mask) {
+      rows[b].push_back(Corner(&lo[b * kDims], &hi[b * kDims], mask));
+    }
+    for (int i = 0; i < 20; ++i) {
+      std::vector<double> row(kDims);
+      for (size_t c = 0; c < kDims; ++c) {
+        row[c] = lo[b * kDims + c] +
+                 rng.NextDouble() * (hi[b * kDims + c] - lo[b * kDims + c]);
+      }
+      rows[b].push_back(row);
+    }
+    for (const std::vector<double>& row : rows[b]) {
+      best[b] = std::max(best[b], model->PredictProbability(row.data()));
+    }
+  }
+  std::vector<double> floors = {0.0, 1e-9, 0.1, 0.5, 0.9, 1.0};
+  for (size_t b = 0; b < kBoxes; b += 7) {
+    floors.push_back(best[b]);
+    floors.push_back(std::nextafter(best[b], 2.0));
+  }
+  size_t ruled_out = 0;
+  for (double floor : floors) {
+    SCOPED_TRACE(std::string(ClassifierKindName(kind)) +
+                 " floor=" + std::to_string(floor));
+    std::unique_ptr<bool[]> reach(new bool[kBoxes]);
+    model->MayReachFloor(lo.data(), hi.data(), kBoxes, kDims, floor,
+                         reach.get());
+    for (size_t b = 0; b < kBoxes; ++b) {
+      if (!reach[b]) ++ruled_out;
+      for (const std::vector<double>& row : rows[b]) {
+        if (model->PredictProbability(row.data()) >= floor) {
+          EXPECT_TRUE(reach[b]) << "box " << b;
+        }
+      }
+    }
+  }
+  // The linear models rule boxes out; Gaussian NB has no bound.
+  if (kind == ClassifierKind::kGaussianNaiveBayes) {
+    EXPECT_EQ(ruled_out, 0u);
+  } else {
+    EXPECT_GT(ruled_out, 0u);
+  }
+}
+
+TEST(FloorBound, LogisticRegressionNeverRulesOutARowThatReachesTheFloor) {
+  ExpectSoundBound(ClassifierKind::kLogisticRegression);
+}
+
+TEST(FloorBound, LinearSvcNeverRulesOutARowThatReachesTheFloor) {
+  ExpectSoundBound(ClassifierKind::kLinearSvc);
+}
+
+TEST(FloorBound, NaiveBayesAnswersTrueForEveryBox) {
+  ExpectSoundBound(ClassifierKind::kGaussianNaiveBayes);
+}
+
 // The cut is conservative: the logistic link just below it is below the
 // floor by a wide margin, and nothing is cut outside (0, 1).
 TEST(PredictTile, FloorCutIsBelowTheFloorsLogit) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "blocking/candidate_pairs.h"
+#include "core/features.h"
 #include "core/pipeline.h"
 #include "datasets/dirty_generator.h"
 #include "datasets/specs.h"
@@ -456,6 +457,74 @@ TEST(StreamExecutorTest, EveryFloorShardCountAndKindMatchesBatch) {
       }
     }
   }
+}
+
+// Above a floor of 0 the fills are prefix-filtered: the linear models'
+// bound skips every neighbour that cannot reach the floor. The matrix
+// reference (RunMetaBlockingWithFeatures: PredictBatch of Compute() for
+// every candidate, then PruneWithAggregator) runs no fill at all, so it is
+// the independent check: the batch pipeline (the resident pairs) and the
+// executor at 1 and 4 shards and threads (the collected neighbours) must
+// retain exactly its pairs and fit its model, for every kind, both feature
+// sets of the paper, both linear models and both ER modes.
+TEST(StreamExecutorTest, FilteredFillsMatchTheMatrixReference) {
+  for (const PreparedDataset* prep : {&MediumDataset(), &SmallDirtyDataset()}) {
+    const StreamingDataset twin = StreamingTwin(*prep);
+    for (const FeatureSet& set :
+         {FeatureSet::BlastOptimal(), FeatureSet::RcnpOptimal()}) {
+      const Matrix features =
+          FeatureExtractor(*prep->index, prep->pairs).Compute(set, 2);
+      for (ClassifierKind classifier :
+           {ClassifierKind::kLogisticRegression, ClassifierKind::kLinearSvc}) {
+        for (double floor : {0.5, 0.9}) {
+          for (PruningKind kind : AllPruningKinds()) {
+            MetaBlockingConfig config = BaseConfig(kind);
+            config.features = set;
+            config.classifier = classifier;
+            config.validity_threshold = floor;
+            SCOPED_TRACE(prep->name + " " + set.ToString() + " " +
+                         ClassifierKindName(classifier) +
+                         " floor=" + std::to_string(floor));
+            const MetaBlockingResult reference =
+                RunMetaBlockingWithFeatures(*prep, config, features);
+            ExpectIdentical(reference, RunMetaBlocking(*prep, config), kind,
+                            1, 1);
+            for (size_t shards : {size_t{1}, size_t{4}}) {
+              for (size_t threads : {size_t{1}, size_t{4}}) {
+                StreamingOptions options;
+                options.num_shards = shards;
+                MetaBlockingConfig stream_config = config;
+                stream_config.execution.num_threads = threads;
+                ExpectIdentical(
+                    reference,
+                    StreamingExecutor(twin, options).Run(stream_config), kind,
+                    shards, threads);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The executor's fills add the rows they evaluate to pairs.scored: fewer
+// than the candidates at the validity floor, every candidate at floor 0.
+TEST(StreamExecutorTest, FillsCountTheRowsTheyScore) {
+  const StreamingDataset twin = StreamingTwin(SmallDirtyDataset());
+  StreamingOptions options;
+  options.num_shards = 4;
+  const auto scored = [&](double floor) {
+    obs::TelemetrySink sink;
+    obs::InstallSink(&sink);
+    MetaBlockingConfig config = BaseConfig(PruningKind::kCep);
+    config.validity_threshold = floor;
+    StreamingExecutor(twin, options).Run(config);
+    obs::InstallSink(nullptr);
+    return sink.SnapshotMetrics().counters.at("pairs.scored");
+  };
+  EXPECT_LT(scored(0.5), twin.num_candidates());
+  EXPECT_EQ(scored(0.0), twin.num_candidates());
 }
 
 TEST(StreamExecutorTest, RejectsUnusableOptions) {
