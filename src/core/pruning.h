@@ -15,9 +15,12 @@
 //
 //   cardinality-based — keep a bounded number of top-weighted pairs:
 //     CEP   global top-K,  K = Σ|b| / 2
-//     CNP   per-node top-k queues, keep if in EITHER endpoint's queue,
+//     CNP   per-node top-k, keep if in EITHER endpoint's top-k,
 //           k = max(1, Σ|b| / #entities)
-//     RCNP  keep if in BOTH endpoints' queues.
+//     RCNP  keep if in BOTH endpoints' top-k.
+//
+//   Ranks order pairs by probability, ties going to the smaller index, so
+//   every top-k is unique.
 //
 // The same implementations double as *unsupervised* meta-blocking when fed
 // scheme weights instead of probabilities with validity_threshold <= 0 (see

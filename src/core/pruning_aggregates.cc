@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "core/pruning_detail.h"
+#include "gsmb/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace gsmb {
@@ -25,54 +25,6 @@ struct NodeContribution {
   double sum;
   uint32_t count;
 };
-
-// Heap entry for the cardinality algorithms. Ties on probability are broken
-// by pair index, ejecting the *later* pair first, so results are
-// deterministic and independent of heap internals. The pair rides along so
-// the streaming executor can emit without regenerating it.
-struct HeapEntry {
-  double prob;
-  uint32_t index;
-  CandidatePair pair;
-};
-
-// Strict total order "a outranks b": higher probability wins, ties go to
-// the smaller index. The top-k of any entry set under this order is unique,
-// so per-chunk top-k selections can merge in any order and still produce
-// the exact serial result.
-inline bool Outranks(const HeapEntry& a, const HeapEntry& b) {
-  if (a.prob != b.prob) return a.prob > b.prob;
-  return a.index < b.index;
-}
-
-// Min-heap on Outranks: the weakest retained pair sits on top.
-struct WeakerFirst {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    return Outranks(a, b);
-  }
-};
-
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, WeakerFirst>;
-
-// Offers `e` to a queue capped at `k` entries, replacing the weakest kept
-// entry when outranked. Exact for any offer order.
-inline void OfferCapped(MinHeap& queue, size_t k, const HeapEntry& e) {
-  if (queue.size() < k) {
-    queue.push(e);
-  } else if (Outranks(e, queue.top())) {
-    queue.pop();
-    queue.push(e);
-  }
-}
-
-// Trims `entries` to its top-k under Outranks (unordered).
-void KeepTopK(std::vector<HeapEntry>& entries, size_t k) {
-  if (entries.size() <= k) return;
-  std::nth_element(entries.begin(), entries.begin() + k, entries.end(),
-                   Outranks);
-  entries.resize(k);
-}
 
 // ---------------------------------------------------------------------------
 // BCl — stateless: keep every valid pair.
@@ -302,16 +254,48 @@ class BlastAggregator final : public PruningAggregator {
 };
 
 // ---------------------------------------------------------------------------
-// CEP — global top-K. Each chunk selects its local top-K valid pairs; the
-// global top-K is the top-K of the union of the locals, which is unique
-// under Outranks.
+// CEP / CNP / RCNP — top-k by threshold. CEP has one budget of K rows; CNP
+// and RCNP have a budget of k rows per node, and a row counts against both
+// of its endpoints'. Every valid row sits once in one list, ascending by
+// index: a chunk's slot holds its valid rows in order, and the slots append
+// in chunk order. A compaction finds each crowded budget's k-th best key
+// under Outranks and stably erases every row that fewer than `required` of
+// its budgets keep. Top-k under a strict total order is unique, a row
+// outside a budget's top-k of the rows seen so far stays outside it for
+// every superset, and the compactions inside a fold keep every row that
+// some budget keeps; so each budget's top-k survives them, and the last
+// compaction, with the kind's requirement, yields the serial result exactly.
 // ---------------------------------------------------------------------------
 
-class CepAggregator final : public PruningAggregator {
+// A row's rank: its probability and index.
+struct RankKey {
+  double probability;
+  uint32_t index;
+};
+
+inline RankKey KeyOf(const RetainedCandidate& row) {
+  return {row.probability, row.index};
+}
+
+// Strict total order "a outranks b": higher probability wins, ties go to
+// the smaller index.
+inline bool Outranks(const RankKey& a, const RankKey& b) {
+  if (a.probability != b.probability) return a.probability > b.probability;
+  return a.index < b.index;
+}
+
+class TopKAggregator final : public PruningAggregator {
  public:
-  CepAggregator(size_t num_chunks, const PruningContext& ctx)
+  TopKAggregator(size_t num_chunks, const PruningContext& ctx,
+                 PruningKind kind)
       : ctx_(ctx),
-        k_(static_cast<size_t>(std::max(0.0, std::floor(ctx.cep_k)))),
+        per_node_(kind != PruningKind::kCep),
+        required_(kind == PruningKind::kRcnp ? 2 : 1),
+        k_(per_node_ ? static_cast<size_t>(
+                           std::max<long long>(1, std::llround(ctx.cnp_k)))
+                     : static_cast<size_t>(
+                           std::max(0.0, std::floor(ctx.cep_k)))),
+        num_budgets_(per_node_ ? ctx.num_nodes : 1),
         parts_(num_chunks) {}
 
   bool emits_from_aggregates() const override { return true; }
@@ -319,126 +303,28 @@ class CepAggregator final : public PruningAggregator {
   void AccumulateChunk(const PairChunkView& chunk,
                        AggregatorScratch*) override {
     if (k_ == 0) return;
-    std::vector<HeapEntry>& local = parts_[chunk.chunk_index];
-    for (size_t j = 0; j < chunk.count; ++j) {
-      if (Valid(chunk.probabilities[j], ctx_)) {
-        local.push_back({chunk.probabilities[j],
-                         static_cast<uint32_t>(chunk.IndexOf(j)),
-                         chunk.pairs[j]});
-      }
-    }
-    KeepTopK(local, k_);
-  }
-
-  void FoldChunks(size_t chunk_begin, size_t chunk_end) override {
-    for (size_t c = chunk_begin; c < chunk_end; ++c) {
-      for (const HeapEntry& e : parts_[c]) OfferCapped(queue_, k_, e);
-      std::vector<HeapEntry>().swap(parts_[c]);
-    }
-  }
-
-  bool Keep(size_t, const CandidatePair&, double) const override {
-    return false;  // unused: emits_from_aggregates()
-  }
-
-  std::vector<RetainedCandidate> TakeRetained() override {
-    std::vector<RetainedCandidate> retained;
-    retained.reserve(queue_.size());
-    while (!queue_.empty()) {
-      const HeapEntry& top = queue_.top();
-      retained.push_back({top.index, top.pair, top.prob});
-      queue_.pop();
-    }
-    std::sort(retained.begin(), retained.end(),
-              [](const RetainedCandidate& a, const RetainedCandidate& b) {
-                return a.index < b.index;
-              });
-    return retained;
-  }
-
- private:
-  PruningContext ctx_;
-  size_t k_;
-  std::vector<std::vector<HeapEntry>> parts_;
-  MinHeap queue_;
-};
-
-// ---------------------------------------------------------------------------
-// CNP / RCNP — per-node top-k queues; keep a pair present in at least
-// `required` of its two endpoint queues. Each chunk pre-selects its
-// per-node top-k by sorting its offers; the sparse chunk contributions then
-// merge into the global queues — per-node top-k is unique under Outranks,
-// so the merge order is immaterial and the result matches the serial sweep
-// exactly.
-// ---------------------------------------------------------------------------
-
-// One chunk's candidate entry for a node's top-k queue.
-struct NodeOffer {
-  uint32_t node;
-  HeapEntry entry;
-};
-
-class NodeOfferScratch final : public AggregatorScratch {
- public:
-  std::vector<NodeOffer> offers;
-};
-
-class CnpAggregator final : public PruningAggregator {
- public:
-  CnpAggregator(size_t num_chunks, const PruningContext& ctx, uint8_t required)
-      : ctx_(ctx),
-        required_(required),
-        k_(static_cast<size_t>(
-            std::max<long long>(1, std::llround(ctx.cnp_k)))),
-        parts_(num_chunks),
-        queues_(ctx.num_nodes) {}
-
-  bool emits_from_aggregates() const override { return true; }
-
-  std::unique_ptr<AggregatorScratch> MakeScratch() const override {
-    return std::make_unique<NodeOfferScratch>();
-  }
-
-  void AccumulateChunk(const PairChunkView& chunk,
-                       AggregatorScratch* scratch) override {
-    std::vector<NodeOffer>& offers =
-        static_cast<NodeOfferScratch*>(scratch)->offers;
-    offers.clear();
+    std::vector<RetainedCandidate>& slot = parts_[chunk.chunk_index];
     for (size_t j = 0; j < chunk.count; ++j) {
       const double p = chunk.probabilities[j];
-      if (!Valid(p, ctx_)) continue;
-      const HeapEntry entry{p, static_cast<uint32_t>(chunk.IndexOf(j)),
-                            chunk.pairs[j]};
-      offers.push_back({static_cast<uint32_t>(LeftNode(entry.pair)), entry});
-      offers.push_back(
-          {static_cast<uint32_t>(RightNode(entry.pair, ctx_)), entry});
-    }
-    std::sort(offers.begin(), offers.end(),
-              [](const NodeOffer& a, const NodeOffer& b) {
-                if (a.node != b.node) return a.node < b.node;
-                return Outranks(a.entry, b.entry);
-              });
-    std::vector<NodeOffer>& out = parts_[chunk.chunk_index];
-    size_t pos = 0;
-    while (pos < offers.size()) {
-      const uint32_t node = offers[pos].node;
-      size_t kept = 0;
-      for (; pos < offers.size() && offers[pos].node == node; ++pos) {
-        if (kept < k_) {
-          out.push_back(offers[pos]);
-          ++kept;
-        }
+      if (Valid(p, ctx_)) {
+        slot.push_back(
+            {static_cast<uint32_t>(chunk.IndexOf(j)), chunk.pairs[j], p});
       }
     }
   }
 
+  // Compacts whenever the list passes twice the budgets' total, so it holds
+  // at most that plus one chunk's rows.
   void FoldChunks(size_t chunk_begin, size_t chunk_end) override {
+    size_t peak = list_.size();
     for (size_t c = chunk_begin; c < chunk_end; ++c) {
-      for (const NodeOffer& offer : parts_[c]) {
-        OfferCapped(queues_[offer.node], k_, offer.entry);
-      }
-      std::vector<NodeOffer>().swap(parts_[c]);
+      list_.insert(list_.end(), parts_[c].begin(), parts_[c].end());
+      std::vector<RetainedCandidate>().swap(parts_[c]);
+      peak = std::max(peak, list_.size());
+      if (list_.size() > 2 * num_budgets_ * k_) Compact(/*required=*/1);
     }
+    obs::GaugeMax("topk.bytes.peak",
+                  static_cast<double>(peak * sizeof(RetainedCandidate)));
   }
 
   bool Keep(size_t, const CandidatePair&, double) const override {
@@ -446,42 +332,68 @@ class CnpAggregator final : public PruningAggregator {
   }
 
   std::vector<RetainedCandidate> TakeRetained() override {
-    // A pair sits in at most two queues (its endpoints), at most once each,
-    // so counting equal-index runs of the drained union reproduces the
-    // membership counts of the serial sweep without any O(|C|) array.
-    std::vector<HeapEntry> drained;
-    for (MinHeap& q : queues_) {
-      while (!q.empty()) {
-        drained.push_back(q.top());
-        q.pop();
-      }
-    }
-    std::sort(drained.begin(), drained.end(),
-              [](const HeapEntry& a, const HeapEntry& b) {
-                return a.index < b.index;
-              });
-    std::vector<RetainedCandidate> retained;
-    size_t pos = 0;
-    while (pos < drained.size()) {
-      size_t end = pos;
-      while (end < drained.size() && drained[end].index == drained[pos].index) {
-        ++end;
-      }
-      if (end - pos >= required_) {
-        retained.push_back(
-            {drained[pos].index, drained[pos].pair, drained[pos].prob});
-      }
-      pos = end;
-    }
-    return retained;
+    Compact(required_);
+    return std::move(list_);
   }
 
  private:
+  // Calls f(budget) for each budget `row` counts against.
+  template <typename F>
+  void ForEachBudget(const RetainedCandidate& row, const F& f) const {
+    if (per_node_) {
+      f(LeftNode(row.pair));
+      f(RightNode(row.pair, ctx_));
+    } else {
+      f(size_t{0});
+    }
+  }
+
+  void Compact(int required) {
+    // One counting pass; only budgets holding more than k rows select.
+    std::vector<uint32_t> count(num_budgets_, 0);
+    for (const RetainedCandidate& row : list_) {
+      ForEachBudget(row, [&](size_t b) { ++count[b]; });
+    }
+    // The crowded budgets' keys, grouped by budget: after the fill, b's
+    // group ends at end[b] and starts count[b] keys earlier.
+    std::vector<size_t> end(num_budgets_);
+    size_t total = 0;
+    for (size_t b = 0; b < num_budgets_; ++b) {
+      end[b] = total;
+      if (count[b] > k_) total += count[b];
+    }
+    std::vector<RankKey> keys(total);
+    for (const RetainedCandidate& row : list_) {
+      ForEachBudget(row, [&](size_t b) {
+        if (count[b] > k_) keys[end[b]++] = KeyOf(row);
+      });
+    }
+    // Each crowded group's k-th best key moves to its position k - 1.
+    const auto kth = [&](size_t b) -> const RankKey& {
+      return keys[end[b] - count[b] + k_ - 1];
+    };
+    for (size_t b = 0; b < num_budgets_; ++b) {
+      if (count[b] <= k_) continue;
+      const auto first = keys.begin() + (end[b] - count[b]);
+      std::nth_element(first, first + (k_ - 1), keys.begin() + end[b],
+                       Outranks);
+    }
+    std::erase_if(list_, [&](const RetainedCandidate& row) {
+      int kept = 0;
+      ForEachBudget(row, [&](size_t b) {
+        if (count[b] <= k_ || !Outranks(kth(b), KeyOf(row))) ++kept;
+      });
+      return kept < required;
+    });
+  }
+
   PruningContext ctx_;
-  uint8_t required_;
-  size_t k_;
-  std::vector<std::vector<NodeOffer>> parts_;
-  std::vector<MinHeap> queues_;
+  bool per_node_;
+  int required_;
+  size_t k_;            // rows per budget
+  size_t num_budgets_;  // 1 for CEP, one per node for CNP/RCNP
+  std::vector<std::vector<RetainedCandidate>> parts_;
+  std::vector<RetainedCandidate> list_;  // ascending by index
 };
 
 }  // namespace
@@ -502,13 +414,9 @@ std::unique_ptr<PruningAggregator> MakePruningAggregator(
     case PruningKind::kBlast:
       return std::make_unique<BlastAggregator>(num_chunks, context);
     case PruningKind::kCep:
-      return std::make_unique<CepAggregator>(num_chunks, context);
     case PruningKind::kCnp:
-      return std::make_unique<CnpAggregator>(num_chunks, context,
-                                             /*required=*/1);
     case PruningKind::kRcnp:
-      return std::make_unique<CnpAggregator>(num_chunks, context,
-                                             /*required=*/2);
+      return std::make_unique<TopKAggregator>(num_chunks, context, kind);
   }
   return nullptr;
 }

@@ -6,7 +6,7 @@
 // candidate space [0, num_candidates):
 //
 //   1. Accumulate — per-chunk partial aggregates (probability sums, per-node
-//      contributions, local top-k selections). Chunks are the fixed-grain
+//      contributions, the chunk's valid rows). Chunks are the fixed-grain
 //      table of DeterministicChunks(num_candidates), so chunk boundaries
 //      depend only on the candidate count — never on the thread count or on
 //      how the candidate space is sliced into shards.
@@ -15,12 +15,15 @@
 //      order is what makes PruneWithAggregator, the executor, and every
 //      thread/shard count produce bit-identical aggregates.
 //   3. Decide — either a stateless per-pair predicate (weight-based kinds),
-//      applied after Finalize() to every pair it could keep, or a drain of
-//      the accumulated top-k structures, which carry their pairs
-//      (cardinality kinds). The predicate is false below the validity
-//      threshold, so the executor applies it only to the above-floor pairs
-//      it kept from the first sweep; it sweeps the candidates a second time
-//      only when those overflow their memory cap.
+//      applied after Finalize() to every pair it could keep, or the
+//      cardinality kinds' row list: the fold appends each chunk's valid
+//      rows, pairs included, in index order and compacts the list to its
+//      budgets' top-k whenever it passes twice their total, and
+//      TakeRetained() compacts it once more with the kind's requirement
+//      (either endpoint for CEP/CNP, both for RCNP). The predicate is false
+//      below the validity threshold, so the executor applies it only to the
+//      above-floor pairs it kept from the first sweep; it sweeps the
+//      candidates a second time only when those overflow their memory cap.
 //
 // Every aggregator skips the rows below the validity threshold, so a chunk
 // may hold only the rows at or above it (the executor's shards hold nothing
@@ -76,7 +79,7 @@ struct RetainedCandidate {
 };
 
 /// Per-worker scratch reused across the chunks one worker accumulates
-/// (epoch-marked dense arrays, offer buffers). Opaque to callers.
+/// (dense per-node arrays). Opaque to callers.
 class AggregatorScratch {
  public:
   virtual ~AggregatorScratch() = default;
@@ -90,9 +93,9 @@ class PruningAggregator {
   /// needed at all.
   virtual bool needs_accumulation() const { return true; }
 
-  /// True for CEP/CNP/RCNP: the retained set, pairs included, is drained
-  /// from the folded top-k structures via TakeRetained(); Keep() is unused
-  /// and no second pass over the candidates is required.
+  /// True for CEP/CNP/RCNP: the retained set, pairs included, is taken
+  /// from the folded row list via TakeRetained(); Keep() is unused and no
+  /// second pass over the candidates is required.
   virtual bool emits_from_aggregates() const { return false; }
 
   virtual std::unique_ptr<AggregatorScratch> MakeScratch() const {
@@ -121,8 +124,8 @@ class PruningAggregator {
   virtual bool Keep(size_t global_index, const CandidatePair& pair,
                     double probability) const = 0;
 
-  /// Cardinality kinds: drains the retained set with its pairs, ascending
-  /// by index.
+  /// Cardinality kinds: moves out the retained set with its pairs,
+  /// ascending by index. Called once, after Finalize().
   virtual std::vector<RetainedCandidate> TakeRetained() { return {}; }
 };
 

@@ -1,6 +1,7 @@
 #include "stream/streaming_executor.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -195,10 +196,20 @@ MetaBlockingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
 
   size_t retained_count = 0;
   size_t true_positives = 0;
+  // Emission ascends by index, as the ground-truth matches' indices do, so
+  // one cursor over those counts the true positives.
+  const std::vector<uint64_t>& positives = dataset_.positive_indices;
+  size_t next_positive = 0;
+  int64_t last_emitted = -1;
   auto emit = [&](uint32_t idx, const CandidatePair& pair,
                   double probability) {
+    assert(static_cast<int64_t>(idx) > last_emitted);
+    last_emitted = idx;
     ++retained_count;
-    if (dataset_.ground_truth.IsMatch(pair.left, pair.right)) {
+    while (next_positive < positives.size() && positives[next_positive] < idx) {
+      ++next_positive;
+    }
+    if (next_positive < positives.size() && positives[next_positive] == idx) {
       ++true_positives;
     }
     if (config.keep_retained) result.retained_indices.push_back(idx);
@@ -278,8 +289,8 @@ MetaBlockingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
 
   // ---- Emit the retained set, ascending by global index. ----
   if (aggregator->emits_from_aggregates()) {
-    // Cardinality kinds: the folded top-k structures hold the retained
-    // candidates, pairs included.
+    // Cardinality kinds: the aggregator's compacted row list holds the
+    // retained candidates, pairs included.
     obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
     for (const RetainedCandidate& c : aggregator->TakeRetained()) {
       emit(c.index, c.pair, c.probability);

@@ -39,9 +39,12 @@
 // when it overflows (always, for a validity threshold <= 0 over more than
 // one shard) it is dropped and a second sweep re-scores each shard
 // instead. BCl emits each shard's kept rows during the one sweep, and the
-// cardinality kinds (CEP/CNP/RCNP) emit straight from their folded top-k
-// structures, whose entries carry their pairs. Peak memory is O(largest
-// shard + |E| + aggregates), never O(|C|).
+// cardinality kinds (CEP/CNP/RCNP) emit straight from their aggregator's
+// row list, which holds each kept row's pair and is compacted to at most
+// twice its budgets' total plus one chunk's rows. Emission ascends by
+// index, so the true positives are counted with one cursor over the
+// dataset's ascending positive_indices. Peak memory is O(largest shard +
+// |E| + aggregates), never O(|C|).
 //
 // Bit-identity. The retained set is the same for EVERY shard count,
 // thread count and pair source, and equals the in-memory pruners'

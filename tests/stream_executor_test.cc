@@ -195,8 +195,8 @@ TEST(StreamExecutorTest, MemoryBudgetDerivesShardCountAndBoundsArena) {
   ExpectIdentical(batch, stream, config.pruning, stream.num_shards_used, 1);
 }
 
-// Every kind at several shards: the cardinality kinds emit from their heap
-// entries and the weight-based kinds from sweep 1's survivors, so each
+// Every kind at several shards: the cardinality kinds emit from their row
+// list and the weight-based kinds from sweep 1's survivors, so each
 // emitted pair and probability must equal the batch path's at that index.
 // Keeping every probability fills each shard at floor 0 instead; the run
 // then returns them all in candidate order and retains the same pairs.
@@ -525,6 +525,37 @@ TEST(StreamExecutorTest, FillsCountTheRowsTheyScore) {
   };
   EXPECT_LT(scored(0.5), twin.num_candidates());
   EXPECT_EQ(scored(0.0), twin.num_candidates());
+}
+
+// Emission counts true positives with one cursor over the ascending
+// positive_indices; that count must equal a ground-truth lookup of every
+// retained pair, for every kind, shard count, floor and ER mode.
+TEST(StreamExecutorTest, TruePositivesEqualTheGroundTruthCount) {
+  for (const PreparedDataset* prep : {&MediumDataset(), &SmallDirtyDataset()}) {
+    const StreamingDataset twin = StreamingTwin(*prep);
+    for (double floor : {0.0, 0.5}) {
+      for (PruningKind kind : AllPruningKinds()) {
+        for (size_t shards : {size_t{1}, size_t{4}}) {
+          SCOPED_TRACE(prep->name + " " + PruningKindName(kind) +
+                       " floor=" + std::to_string(floor) +
+                       " shards=" + std::to_string(shards));
+          MetaBlockingConfig config = BaseConfig(kind);
+          config.validity_threshold = floor;
+          StreamingOptions options;
+          options.num_shards = shards;
+          const MetaBlockingResult stream =
+              StreamingExecutor(twin, options).Run(config);
+          size_t matches = 0;
+          for (uint32_t index : stream.retained_indices) {
+            const CandidatePair& pair = prep->pairs[index];
+            if (prep->ground_truth.IsMatch(pair.left, pair.right)) ++matches;
+          }
+          EXPECT_GT(matches, 0u);
+          EXPECT_EQ(stream.metrics.true_positives, matches);
+        }
+      }
+    }
+  }
 }
 
 TEST(StreamExecutorTest, RejectsUnusableOptions) {
